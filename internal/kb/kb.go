@@ -353,6 +353,20 @@ func (s *Store) ForEachByPredicateIndexed(pred string, fn func(i int, f Fact) bo
 	}
 }
 
+// PredicateView is ForEachByPredicateIndexed as a slice range, for scans
+// that walk the index in a plain loop instead of through a callback:
+// ords lists, in index order, the store ordinals of the facts carrying
+// the predicate, and facts[i] is the fact at ordinal i. Both slices are
+// the store's own and strictly read-only — a caller must never write
+// through them. The view stays valid while the store grows, but only
+// below its length: the fact log is append-only (Add appends, duplicates
+// are rejected, nothing reorders or rewrites), so every ordinal in ords
+// keeps indexing the same fact, while facts added after the call are
+// simply not in the view.
+func (s *Store) PredicateView(pred string) (ords []int, facts []Fact) {
+	return s.byPred[pred], s.facts
+}
+
 // ForEachBySubject streams the facts about the subject via the subject
 // index; fn returning false stops the walk.
 func (s *Store) ForEachBySubject(subject string, fn func(Fact) bool) {

@@ -37,34 +37,42 @@ const (
 // join-key hash on whatever key the producing side routed on. sel, when
 // non-nil, is a selection bitmap over the rows: vectorized filters clear
 // bits instead of copying survivors, and downstream passes skip dead
-// rows. A nil sel means every row is live.
+// rows. A nil sel means every row is live. selBuf is the bitmap's own
+// buffer, recycled with the batch, so a filtered flush never allocates.
 type colBatch struct {
 	n      int
 	cols   [][]kb.Value
 	hashes []uint64
 	sel    []uint64
+	selBuf []uint64
 	cost   int64 // budget charge held while checked out of the pool
 }
 
-// batchCost is the accounted footprint of one batch: full column
-// capacity (the batch holds its arrays for its whole pooled life) plus
-// the hash vector and the selection bitmap.
-func batchCost(width, rows int) int64 {
-	return int64(rows)*(int64(width)*valueBytes+8) + int64((rows+63)/64*8)
+// heldCost is the accounted footprint of a batch: the full capacity of
+// every column in its backing array — including spare columns kept past
+// the current width; the batch holds them for its whole pooled life —
+// plus the hash vector and the selection bitmap buffer.
+func (b *colBatch) heldCost() int64 {
+	n := int64(cap(b.hashes))*8 + int64(cap(b.selBuf))*8
+	for _, c := range b.cols[:cap(b.cols)] {
+		n += int64(cap(c)) * valueBytes
+	}
+	return n
 }
 
 // colBatchPool recycles batch buffers across executions, like the row
 // pipeline's batchPool: steady-state streaming allocates no new columns
-// at all. Shapes vary by query (width) and by budget (row capacity), so
-// get re-allocates on a shape mismatch; a server answering a stable
-// query mix converges to perfect reuse.
+// at all. It is one pool for every shape: get re-shapes whatever batch
+// it is handed (reshape), so a query mix of different widths — the 3-
+// and 4-conjunct joins of one workload — keeps hitting it instead of
+// dropping every batch of the other width.
 var colBatchPool sync.Pool
 
 // batchAlloc hands out colBatches for one execution. The budget is
 // charged at checkout and released when the batch is returned — once
-// per batch, column-capacity accounting — so a batch's bytes are
-// accounted for exactly as long as it is live (staging, in flight on a
-// channel, or being drained by a consumer).
+// per batch, for the capacity the batch actually holds — so a batch's
+// bytes are accounted for exactly as long as it is live (staging, in
+// flight on a channel, or being drained by a consumer).
 type batchAlloc struct {
 	width int
 	rows  int
@@ -80,26 +88,54 @@ func newBatchAlloc(width int, bud *mem.Budget) *batchAlloc {
 }
 
 // get returns an empty batch with every column at capacity, charging its
-// capacity cost to the execution budget.
+// held capacity to the execution budget.
 func (a *batchAlloc) get() *colBatch {
-	a.bud.MustReserve(batchCost(a.width, a.rows))
-	if b, ok := colBatchPool.Get().(*colBatch); ok {
-		if len(b.cols) == a.width && len(b.hashes) == a.rows {
-			b.cost = batchCost(a.width, a.rows)
-			return b
-		}
-		// Wrong shape for this execution: drop it and allocate fresh.
+	b, ok := colBatchPool.Get().(*colBatch)
+	if !ok {
+		b = &colBatch{}
 	}
-	//lint:onion-ignore pool-recycled fixed-capacity columns shared across queries; live retention is charged per batch at checkout (MustReserve above) and released at put
-	b := &colBatch{
-		cols:   make([][]kb.Value, a.width),
-		hashes: make([]uint64, a.rows),
-		cost:   batchCost(a.width, a.rows),
-	}
-	for s := range b.cols {
-		b.cols[s] = make([]kb.Value, a.rows)
-	}
+	a.reshape(b)
+	b.cost = b.heldCost()
+	a.bud.MustReserve(b.cost)
 	return b
+}
+
+// reshape fits a recycled (or empty) batch to this execution's shape
+// instead of dropping it. A narrower width reslices the column list and
+// keeps the extra columns' arrays in its backing for the next wider
+// shape; a wider one re-extends over kept columns and appends the rest.
+// Columns, hash vector and bitmap are reallocated only when their row
+// capacity differs — the unbounded and the budgeted row capacity never
+// share arrays. Under a memory limit spare columns are dropped rather
+// than kept, so the fixed per-batch charge is exactly the execution's
+// own shape and the spill decisions it feeds do not depend on what ran
+// before.
+func (a *batchAlloc) reshape(b *colBatch) {
+	if cap(b.cols) < a.width {
+		//lint:onion-ignore column-list header only (one slice header per slot); the columns it holds are charged by get via heldCost
+		cols := make([][]kb.Value, a.width)
+		copy(cols, b.cols[:cap(b.cols)])
+		b.cols = cols
+	}
+	b.cols = b.cols[:a.width]
+	if a.bud.Limit() > 0 {
+		clear(b.cols[a.width:cap(b.cols)])
+	}
+	for s, c := range b.cols {
+		if cap(c) != a.rows {
+			//lint:onion-ignore pool-recycled fixed-capacity column shared across queries; charged while checked out by get (MustReserve of heldCost) and released at put
+			b.cols[s] = make([]kb.Value, a.rows)
+		} else {
+			b.cols[s] = c[:a.rows]
+		}
+	}
+	if cap(b.hashes) != a.rows {
+		b.hashes = make([]uint64, a.rows)
+	}
+	b.hashes = b.hashes[:a.rows]
+	if words := (a.rows + 63) / 64; cap(b.selBuf) != words {
+		b.selBuf = make([]uint64, words)
+	}
 }
 
 // put releases the batch's charge and recycles its buffers. The batch's
@@ -121,14 +157,13 @@ func (b *colBatch) live(i int) bool {
 	return b.sel == nil || b.sel[i>>6]&(1<<uint(i&63)) != 0
 }
 
-// ensureSel materialises the selection bitmap with every current row
-// live; filters then clear bits.
+// ensureSel materialises the selection bitmap in the batch's own buffer
+// with every current row live; filters then clear bits.
 func (b *colBatch) ensureSel() {
 	if b.sel != nil {
 		return
 	}
-	words := (len(b.hashes) + 63) / 64
-	b.sel = make([]uint64, words)
+	b.sel = b.selBuf
 	for w := range b.sel {
 		b.sel[w] = ^uint64(0)
 	}
@@ -321,26 +356,32 @@ type buildStore struct {
 const buildTabMinSize = 1024
 
 // buildStorePool recycles build stores across stage partitions and
-// executions, like colBatchPool: a recycled store keeps its column,
-// hash-vector and chain capacity, so a steady query mix builds its hash
-// tables into already-grown arrays. In-execution retention is still the
-// partition budget reservation that admitted each batch; idle pooled
-// capacity is unaccounted, the same convention as the batch pool.
+// executions, like colBatchPool and with the same one-pool re-shaping: a
+// recycled store keeps its column, hash-vector, chain and index capacity
+// whatever the width of the plan that used it last, so a steady query
+// mix builds its hash tables into already-grown arrays. In-execution
+// retention is still the partition budget reservation that admitted each
+// batch (a full tuple's cost per row, which bounds the stored slots);
+// idle pooled capacity is unaccounted, the same convention as the batch
+// pool.
 var buildStorePool sync.Pool
 
 func newBuildStore(stp *planStep, width int) *buildStore {
-	slots := make([]int, 0, len(stp.keySlots)+len(stp.newSlots))
-	slots = append(slots, stp.keySlots...)
-	slots = append(slots, stp.newSlots...)
-	if v, ok := buildStorePool.Get().(*buildStore); ok {
-		if len(v.cols) == width {
-			v.slots = slots
-			return v
-		}
-		// Wrong width for this plan: drop it and allocate fresh.
+	bs, ok := buildStorePool.Get().(*buildStore)
+	if !ok {
+		//lint:onion-ignore column backing grows by append under the partition budget reservation that admitted each batch (takeBuild's Reserve)
+		bs = &buildStore{tab: make([]int32, buildTabMinSize)}
 	}
-	//lint:onion-ignore column backing grows by append under the partition budget reservation that admitted each batch (takeBuild's Reserve)
-	bs := &buildStore{slots: slots, cols: make([][]kb.Value, width), tab: make([]int32, buildTabMinSize)}
+	// Re-shape: extra columns stay in the backing array (emptied by
+	// release, capacity kept) for the next wider plan.
+	if cap(bs.cols) < width {
+		//lint:onion-ignore column-list header only; column contents are charged per admitted batch (takeBuild's Reserve)
+		cols := make([][]kb.Value, width)
+		copy(cols, bs.cols[:cap(bs.cols)])
+		bs.cols = cols
+	}
+	bs.cols = bs.cols[:width]
+	bs.slots = append(append(bs.slots[:0], stp.keySlots...), stp.newSlots...)
 	return bs
 }
 

@@ -272,34 +272,19 @@ func (o *batchOutput) rowFromTuples(l, r tuple, h uint64) {
 }
 
 // projRowFrom projects the match of probe row (src, i) with build row j
-// without staging it — stageProj.addBatchRow's encoding, dedup and
-// charge, with each SELECT cell read from its own side.
+// without staging it: each SELECT cell is read from its own side into
+// the projection's scratch row, then deduped like stageProj.addBatchRow.
 func (o *batchOutput) projRowFrom(src *colBatch, i int, bs *buildStore, j int32) {
 	o.emitted++
 	pp := o.proj
-	pp.buf = pp.buf[:0]
 	for k, s := range pp.sel {
 		if o.selFromBuild[k] {
-			pp.buf = appendValueKey(pp.buf, bs.cols[s][j])
+			pp.scratch[k] = bs.cols[s][j]
 		} else {
-			pp.buf = appendValueKey(pp.buf, src.cols[s][i])
+			pp.scratch[k] = src.cols[s][i]
 		}
 	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
-	for k, s := range pp.sel {
-		if o.selFromBuild[k] {
-			out[k] = bs.cols[s][j]
-		} else {
-			out[k] = src.cols[s][i]
-		}
-	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
+	pp.addScratch()
 }
 
 // projRowFromTupleStore is projRowFrom for a row-major probe tuple (the
@@ -307,29 +292,14 @@ func (o *batchOutput) projRowFrom(src *colBatch, i int, bs *buildStore, j int32)
 func (o *batchOutput) projRowFromTupleStore(l tuple, bs *buildStore, j int32) {
 	o.emitted++
 	pp := o.proj
-	pp.buf = pp.buf[:0]
 	for k, s := range pp.sel {
 		if o.selFromBuild[k] {
-			pp.buf = appendValueKey(pp.buf, bs.cols[s][j])
+			pp.scratch[k] = bs.cols[s][j]
 		} else {
-			pp.buf = appendValueKey(pp.buf, l[s])
+			pp.scratch[k] = l[s]
 		}
 	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
-	for k, s := range pp.sel {
-		if o.selFromBuild[k] {
-			out[k] = bs.cols[s][j]
-		} else {
-			out[k] = l[s]
-		}
-	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
+	pp.addScratch()
 }
 
 // projRowFromTuples is projRowFrom for two row-major tuples (grace-join
@@ -337,29 +307,14 @@ func (o *batchOutput) projRowFromTupleStore(l tuple, bs *buildStore, j int32) {
 func (o *batchOutput) projRowFromTuples(l, r tuple) {
 	o.emitted++
 	pp := o.proj
-	pp.buf = pp.buf[:0]
 	for k, s := range pp.sel {
 		if o.selFromBuild[k] {
-			pp.buf = appendValueKey(pp.buf, r[s])
+			pp.scratch[k] = r[s]
 		} else {
-			pp.buf = appendValueKey(pp.buf, l[s])
+			pp.scratch[k] = l[s]
 		}
 	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
-	for k, s := range pp.sel {
-		if o.selFromBuild[k] {
-			out[k] = r[s]
-		} else {
-			out[k] = l[s]
-		}
-	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
+	pp.addScratch()
 }
 
 func (o *batchOutput) flush() {
@@ -675,7 +630,7 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	// frozen prefix and grace-joins against the spilled build rows; the
 	// two match sets are disjoint because every build row lives on
 	// exactly one side.
-	projParts := make([][]keyedRow, parts[n-1])
+	projParts := make([]*stageProj, parts[n-1])
 	stageWg := make([]sync.WaitGroup, n)
 	for si := 1; si < n; si++ {
 		stageWg[si].Add(parts[si])
@@ -962,9 +917,8 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 					o.rt.flush()
 					stageStream[si][p] = o.rt.batches
 				} else {
-					rows, perr := o.proj.finish()
-					fail(perr)
-					projParts[p] = rows
+					fail(o.proj.finish())
+					projParts[p] = o.proj
 					if o.proj.spilled {
 						projSpills[p] = 1
 						projRunCnt[p] = len(o.proj.runs)
@@ -1062,6 +1016,6 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	}
 
 	st.JoinedRows = int(stepOut[n-1])
-	res.Rows = mergeSortedKeyed(projParts, bud)
+	res.Rows = mergeProjections(projParts, bud)
 	return nil
 }

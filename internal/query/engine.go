@@ -663,7 +663,7 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 	// this predicate, resolved once instead of re-walking the bridge
 	// index per fact).
 	if src.KB != nil && !isArt {
-		matchFactQ := func(f kb.Fact, subjQ, objQ kb.Value, haveQ bool, nf []string, hoisted bool) bool {
+		matchFactQ := func(f *kb.Fact, subjQ, objQ kb.Value, haveQ bool, nf []string, hoisted bool) bool {
 			if !hoisted && v.preds != nil && !v.preds[f.Predicate] {
 				return true
 			}
@@ -723,19 +723,23 @@ func (e *Engine) scanMatch(name string, src *Source, t Triple, v scanView, stats
 			return true
 		}
 		matchFact := func(f kb.Fact) bool {
-			return matchFactQ(f, kb.Value{}, kb.Value{}, false, nil, false)
+			return matchFactQ(&f, kb.Value{}, kb.Value{}, false, nil, false)
 		}
 		switch {
 		case indexed && v.preds != nil:
+			// A plain loop over the store's read-only (ordinals, facts)
+			// view: no per-fact callback between the index and the match.
 			fq := e.factQuals(name)
 			for _, p := range v.predList {
 				nf := e.normFuncNames(name, p)
-				src.KB.ForEachByPredicateIndexed(p, func(i int, f kb.Fact) bool {
+				ords, facts := src.KB.PredicateView(p)
+				for _, i := range ords {
 					if i < len(fq) {
-						return matchFactQ(f, fq[i].subj, fq[i].obj, true, nf, true)
+						matchFactQ(&facts[i], fq[i].subj, fq[i].obj, true, nf, true)
+					} else {
+						matchFactQ(&facts[i], kb.Value{}, kb.Value{}, false, nf, true)
 					}
-					return matchFactQ(f, kb.Value{}, kb.Value{}, false, nf, true)
-				})
+				}
 			}
 		case indexed && v.subj != nil:
 			for _, s := range v.subjList {

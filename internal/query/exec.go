@@ -697,8 +697,8 @@ func projectTuples(res *Result, groups [][]tuple, q Query, plan *execPlan, bud *
 				out[i] = t[s]
 			}
 			// The kept row is final output that cannot spill: charge it as
-			// fixed working state, mirroring the streaming projection's
-			// per-row formula (stageProj.add).
+			// fixed working state — its key (map entry and keyedRow copy),
+			// the keyedRow header and its cells.
 			bud.MustReserve(2*int64(len(key)) + 24 + int64(len(sel))*valueBytes)
 			keep = append(keep, keyedRow{key, out})
 		}

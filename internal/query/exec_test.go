@@ -257,9 +257,11 @@ func TestPerRowJoinAllocs(t *testing.T) {
 }
 
 // TestPerRowBatchAllocs pins the batch plane's amortized allocation
-// rate below the row-at-a-time pipeline's measured ~8 per joined row:
-// columns, hash vectors and selection masks are allocated per batch and
-// pooled, so the per-row count must drop well under the PR 2 bound.
+// rate far below the row-at-a-time pipeline's measured ~8 per joined
+// row: columns, hash vectors, selection masks, build stores and
+// projection dedup sets are pooled, and projected rows are ordinals into
+// a per-partition cell arena, so what is left is per-execution worker
+// machinery and the answer itself.
 func TestPerRowBatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting under -short")
@@ -283,12 +285,15 @@ func TestPerRowBatchAllocs(t *testing.T) {
 		}
 	})
 	perRow := avg / float64(rows)
-	// Measured ~2.7 allocs per joined row for the whole execution
-	// (pooled column batches, projection keys, worker machinery). The
-	// bound leaves headroom for runtime changes while failing on any
-	// return to per-row column or hash-vector allocation.
-	if perRow > 8 {
-		t.Errorf("per-row batch allocations = %.2f (total %.0f over %d rows), want <= 8", perRow, avg, rows)
+	t.Logf("batch plane: %.3f allocs per joined row (total %.0f over %d rows)", perRow, avg, rows)
+	// Measured ~0.66 allocs per joined row for the whole execution
+	// (~1.0 under -race, whose sync.Pool drops a share of Puts) — down
+	// from ~2.7 when every distinct projected row built a key string and
+	// a row slice. The bound leaves headroom for runtime changes while
+	// failing on any return to per-row key, row, column or hash-vector
+	// allocation.
+	if perRow > 2 {
+		t.Errorf("per-row batch allocations = %.2f (total %.0f over %d rows), want <= 2", perRow, avg, rows)
 	}
 }
 

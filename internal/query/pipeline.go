@@ -2,6 +2,8 @@ package query
 
 import (
 	"context"
+	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/kb"
 	"repro/internal/obs"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 )
 
 // pipeBatch is how many tuples a pipeline producer accumulates per
@@ -197,18 +200,27 @@ func makePartChans(parts, depth int) []chan *streamedBatch {
 // stageProj is one last-stage partition's streaming projection: probe
 // output dedups straight onto the SELECT slots as it is emitted, so the
 // final frontier is never materialised — only the partition's distinct
-// projected rows are retained. Under Options{MemoryLimit} that retention
-// is itself spillable (projspill.go): the dedup set reserves from the
-// shared pool and rotates to sorted temp-file runs when refused, so even
-// a distinct answer set larger than the cap stays within it. Rows are
-// sorted by their row key at stage end (merging any runs back) and the
-// executor merges the sorted partitions.
+// projected rows are retained. Rows are ordinals into one cell arena per
+// partition (blocks of selN-cell rows, never moved once written, so the
+// answer rows are subslices of it); dedup is a flat open-addressing table
+// of ordinals keyed by hashCell over the SELECT cells with SameCell as
+// the equality — the build store's scheme — so adding a row builds no
+// key and allocates nothing but arena blocks. At stage end the ordinals
+// are sorted with rowcodec.CompareRows, whose order is byte-identical to
+// the row keys every other path sorts on, and the executor merges the
+// sorted partitions. Under Options{MemoryLimit} the dedup set is itself
+// spillable (projspill.go): it reserves from the shared pool and rotates
+// to sorted temp-file runs when refused — the only place row keys are
+// ever built — so even a distinct answer set larger than the cap stays
+// within it.
 type stageProj struct {
-	sel  []int
-	keys map[string]struct{}
-	rows []keyedRow
-	buf  []byte
-	bud  *mem.Budget // root: final rows and run write buffers (MustReserve)
+	sel     []int
+	scratch []kb.Value // the row being added, gathered from its sides
+	set     *projSet
+	blocks  [][]kb.Value // cell arena: block k holds 16<<k rows (projBlockShift)
+	n       int          // rows in the arena (ordinals 0..n-1)
+	rowCost int64
+	bud     *mem.Budget // root: final rows and run write buffers (MustReserve)
 
 	// Spill state (limit-governed executions only; projspill.go).
 	spill    *mem.Budget // spillable dedup-set reservations (nil: never spills)
@@ -221,11 +233,39 @@ type stageProj struct {
 	err      error
 }
 
-// projKeysPool recycles projection dedup sets across partitions and
-// executions: a cleared map keeps its buckets, so a steady query mix
-// dedups into already-grown tables. Live entries are charged per row
-// (MustReserve in add); an idle pooled map holds no entries.
-var projKeysPool sync.Pool
+// projSet is a projection's transient dedup and sort state: tab is the
+// open-addressing table (1+ordinal, 0 = empty), hashes[r] is row r's
+// hash, ord the sorted ordinals finish leaves for the merge. None of it
+// outlives the execution, so it is pooled.
+type projSet struct {
+	tab    []int32
+	used   int
+	hashes []uint64
+	ord    []int32
+}
+
+// projSetPool recycles dedup sets across partitions and executions: a
+// recycled set keeps its table, hash-vector and ordinal capacity, and it
+// has no width, so every query shape shares it. Live rows are charged
+// per row (ensure in add); an idle pooled set holds none.
+var projSetPool sync.Pool
+
+// projBlockShift sizes the first arena block (16 rows); each further
+// block doubles, so a partition's cells take O(log rows) allocations and
+// are never copied.
+const projBlockShift = 4
+
+// projRowOverhead is the per-row dedup state beside the cells: the row
+// hash (8 bytes), its table slot (the table stays between 3/8 and 3/4
+// full, so at most ~11 bytes) and its sorted ordinal (4 bytes).
+const projRowOverhead = 24
+
+// projRowCost is the accounted retention of one distinct projected row:
+// its cells in the arena plus projRowOverhead. The answer's row headers
+// are charged once, at the ordered merge.
+func projRowCost(selN int) int64 {
+	return int64(selN)*valueBytes + projRowOverhead
+}
 
 // newStageProj builds one partition's projection. pool, when non-nil,
 // is the spillable reservation pool the dedup set draws on (the
@@ -236,11 +276,13 @@ func newStageProj(q Query, plan *execPlan, bud, pool *mem.Budget, dir string) *s
 	for i, v := range q.Select {
 		sel[i] = plan.slotOf[v]
 	}
-	keys, ok := projKeysPool.Get().(map[string]struct{})
+	set, ok := projSetPool.Get().(*projSet)
 	if !ok {
-		keys = make(map[string]struct{})
+		set = &projSet{tab: make([]int32, buildTabMinSize)}
 	}
-	pp := &stageProj{sel: sel, keys: keys, bud: bud}
+	//lint:onion-ignore one row of scratch cells per partition, overwritten for every added row and never retained
+	pp := &stageProj{sel: sel, scratch: make([]kb.Value, len(sel)), set: set,
+		rowCost: projRowCost(len(sel)), bud: bud}
 	if pool != nil {
 		pp.spill = pool.Child(0)
 		pp.dir = dir
@@ -248,136 +290,244 @@ func newStageProj(q Query, plan *execPlan, bud, pool *mem.Budget, dir string) *s
 	return pp
 }
 
+// row returns arena row r's cells (capacity-capped, so an append by the
+// caller can never run into the next row).
+func (pp *stageProj) row(r int32) []kb.Value {
+	q := uint(r)>>projBlockShift + 1
+	k := bits.Len(q) - 1
+	off := (int(r) - (1<<k-1)<<projBlockShift) * len(pp.sel)
+	return pp.blocks[k][off : off+len(pp.sel) : off+len(pp.sel)]
+}
+
+// appendRow copies cells into the arena as ordinal pp.n and returns it.
+// Every caller has charged the row (projRowCost) before appending it.
+func (pp *stageProj) appendRow(cells []kb.Value) int32 {
+	r := int32(pp.n)
+	if k := len(pp.blocks); pp.n == (1<<k-1)<<projBlockShift {
+		//lint:onion-ignore arena block: each row placed in it is charged by the caller (ensure in addScratch, the root MustReserve in mergeRuns); a block is at most twice the rows charged so far
+		pp.blocks = append(pp.blocks, make([]kb.Value, (1<<k<<projBlockShift)*len(pp.sel)))
+	}
+	copy(pp.row(r), cells)
+	pp.n++
+	return r
+}
+
+// add projects a row-major tuple (the row-at-a-time executor's last
+// stage).
 func (pp *stageProj) add(t tuple) {
-	pp.buf = pp.buf[:0]
-	for _, s := range pp.sel {
-		pp.buf = appendValueKey(pp.buf, t[s])
+	for k, s := range pp.sel {
+		pp.scratch[k] = t[s]
 	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	// Charge before inserting: a rotation inside ensure flushes the
-	// buffered set to a run, and the new row belongs to the next set.
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
-	for i, s := range pp.sel {
-		out[i] = t[s]
-	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
+	pp.addScratch()
 }
 
 // addBatchRow is add for a columnar batch row (the batch executor's
-// last stage): same key encoding, same dedup, same charge — only the
-// cell source differs.
+// last stage).
 func (pp *stageProj) addBatchRow(b *colBatch, i int) {
-	pp.buf = pp.buf[:0]
-	for _, s := range pp.sel {
-		pp.buf = appendValueKey(pp.buf, b.cols[s][i])
-	}
-	if _, dup := pp.keys[string(pp.buf)]; dup {
-		return
-	}
-	key := string(pp.buf)
-	pp.ensure(projRowCost(key, len(pp.sel)))
-	pp.keys[key] = struct{}{}
-	out := make([]kb.Value, len(pp.sel))
 	for k, s := range pp.sel {
-		out[k] = b.cols[s][i]
+		pp.scratch[k] = b.cols[s][i]
 	}
-	pp.rows = append(pp.rows, keyedRow{key, out})
+	pp.addScratch()
 }
 
-// mergeSortedKeyed merges per-partition sorted keyedRow groups into the
-// deterministic global row order, dropping cross-partition duplicates
-// (two partitions can project onto the same row even though their join
-// keys differ — a duplicated key always carries a cell-identical row,
-// since the key is the row's full encoding, so pop order among equal
-// keys cannot change the output). A min-heap over the group heads keeps
-// the per-row cost at log(groups) key compares; below mergeHeapMin
-// groups a linear head scan is cheaper.
-func mergeSortedKeyed(groups [][]keyedRow, bud *mem.Budget) [][]kb.Value {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
+// addScratch dedups the row gathered in pp.scratch into the set,
+// appending it to the arena when it is new.
+func (pp *stageProj) addScratch() {
+	h := uint64(batchHashSeed)
+	for k := range pp.scratch {
+		h = hashCell(h, &pp.scratch[k])
 	}
-	// The merged slice shares its row backing with the (already charged)
-	// per-partition projections; only the row headers are new retention.
+	set := pp.set
+	if (set.used+1)*4 > len(set.tab)*3 {
+		pp.growSet()
+	}
+	slot := pp.probe(h)
+	if slot < 0 {
+		return // duplicate
+	}
+	// Charge before inserting: a rotation inside ensure flushes the
+	// buffered set to a run (emptying the table), and the new row
+	// belongs to the next set.
+	runs := len(pp.runs)
+	pp.ensure(pp.rowCost)
+	if len(pp.runs) != runs {
+		slot = pp.probe(h)
+	}
+	set.tab[slot] = pp.appendRow(pp.scratch) + 1
+	set.hashes = append(set.hashes, h)
+	set.used++
+}
+
+// probe looks up the scratch row under hash h: -1 when the set already
+// holds it, otherwise the empty table slot where it belongs.
+func (pp *stageProj) probe(h uint64) int {
+	tab := pp.set.tab
+	mask := uint64(len(tab) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := tab[i]
+		if e == 0 {
+			return int(i)
+		}
+		if pp.set.hashes[e-1] == h && sameRow(pp.row(e-1), pp.scratch) {
+			return -1
+		}
+	}
+}
+
+// growSet doubles the dedup table and re-places every row in ordinal
+// order from its stored hash.
+func (pp *stageProj) growSet() {
+	set := pp.set
+	set.tab = make([]int32, 2*len(set.tab))
+	mask := uint64(len(set.tab) - 1)
+	for r, h := range set.hashes {
+		i := h & mask
+		for set.tab[i] != 0 {
+			i = (i + 1) & mask
+		}
+		set.tab[i] = int32(r) + 1
+	}
+}
+
+// resetSet empties the dedup set and the arena (keeping their capacity).
+func (pp *stageProj) resetSet() {
+	clear(pp.set.tab)
+	pp.set.used = 0
+	pp.set.hashes = pp.set.hashes[:0]
+	pp.n = 0
+}
+
+// sortOrdinals fills set.ord with the arena's ordinals in row order.
+func (pp *stageProj) sortOrdinals() []int32 {
+	ord := pp.set.ord[:0]
+	for r := 0; r < pp.n; r++ {
+		ord = append(ord, int32(r))
+	}
+	// Rows are unique within the arena (deduped on add), so the order is
+	// total and the unstable sort deterministic.
+	slices.SortFunc(ord, func(a, b int32) int { return rowcodec.CompareRows(pp.row(a), pp.row(b)) })
+	pp.set.ord = ord
+	return ord
+}
+
+// release hands the projection's dedup state back to the pool; the
+// arena (the answer's cells) stays with the returned rows.
+func (pp *stageProj) release() {
+	if pp.set == nil {
+		return
+	}
+	pp.resetSet()
+	pp.set.ord = pp.set.ord[:0]
+	projSetPool.Put(pp.set)
+	pp.set = nil
+}
+
+// sameRow reports cell-wise equality under the engine's value semantics.
+func sameRow(a, b []kb.Value) bool {
+	for k := range a {
+		if !sameCell(a[k], b[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeProjections merges the last-stage partitions' sorted rows into
+// the deterministic global row order, dropping cross-partition
+// duplicates (two partitions can project onto the same row even though
+// their join keys differ; equal rows are cell-identical, so pop order
+// among them cannot change the output), and returns every partition's
+// dedup state to the pool. A min-heap over the partition heads keeps
+// the per-row cost at log(partitions) row compares; below mergeHeapMin
+// partitions a linear head scan is cheaper.
+func mergeProjections(parts []*stageProj, bud *mem.Budget) [][]kb.Value {
+	total := 0
+	for _, pp := range parts {
+		total += len(pp.set.ord)
+	}
+	// The merged slice shares its cells with the (already charged)
+	// partition arenas; only the row headers are new retention.
 	bud.MustReserve(int64(total) * 24)
 	rows := make([][]kb.Value, 0, total)
-	idx := make([]int, len(groups))
-	lastKey, have := "", false
-	emit := func(kr keyedRow) {
-		if have && kr.key == lastKey {
+	// heads[g] is partition g's current row; nil once it is drained.
+	idx := make([]int, len(parts))
+	heads := make([][]kb.Value, len(parts))
+	advance := func(g int) {
+		heads[g] = nil
+		if ord := parts[g].set.ord; idx[g] < len(ord) {
+			heads[g] = parts[g].row(ord[idx[g]])
+			idx[g]++
+		}
+	}
+	emit := func(row []kb.Value) {
+		if len(rows) > 0 && rowcodec.CompareRows(rows[len(rows)-1], row) == 0 {
 			return
 		}
-		lastKey, have = kr.key, true
-		rows = append(rows, kr.row)
+		rows = append(rows, row)
 	}
-	if len(groups) < mergeHeapMin {
+	for g := range parts {
+		advance(g)
+	}
+	if len(parts) < mergeHeapMin {
 		for {
 			best := -1
-			for gi, g := range groups {
-				if idx[gi] >= len(g) {
-					continue
-				}
-				if best == -1 || g[idx[gi]].key < groups[best][idx[best]].key {
-					best = gi
+			for g, hd := range heads {
+				if hd != nil && (best == -1 || rowcodec.CompareRows(hd, heads[best]) < 0) {
+					best = g
 				}
 			}
 			if best == -1 {
-				return rows
+				break
 			}
-			kr := groups[best][idx[best]]
-			idx[best]++
-			emit(kr)
+			emit(heads[best])
+			advance(best)
+		}
+	} else {
+		// h[0..len) holds partition indices ordered by each one's head.
+		less := func(a, b int) bool { return rowcodec.CompareRows(heads[a], heads[b]) < 0 }
+		h := make([]int, 0, len(parts))
+		for g, hd := range heads {
+			if hd != nil {
+				h = append(h, g)
+			}
+		}
+		siftDown := func(i int) {
+			for {
+				l := 2*i + 1
+				if l >= len(h) {
+					return
+				}
+				m := l
+				if r := l + 1; r < len(h) && less(h[r], h[l]) {
+					m = r
+				}
+				if !less(h[m], h[i]) {
+					return
+				}
+				h[i], h[m] = h[m], h[i]
+				i = m
+			}
+		}
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDown(i)
+		}
+		for len(h) > 0 {
+			g := h[0]
+			emit(heads[g])
+			if advance(g); heads[g] == nil {
+				h[0] = h[len(h)-1]
+				h = h[:len(h)-1]
+			}
+			siftDown(0)
 		}
 	}
-	// heap[0..len) holds group indices ordered by each group's current
-	// head key.
-	less := func(a, b int) bool { return groups[a][idx[a]].key < groups[b][idx[b]].key }
-	h := make([]int, 0, len(groups))
-	for gi, g := range groups {
-		if len(g) > 0 {
-			h = append(h, gi)
-		}
-	}
-	siftDown := func(i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				return
-			}
-			m := l
-			if r := l + 1; r < len(h) && less(h[r], h[l]) {
-				m = r
-			}
-			if !less(h[m], h[i]) {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 0 {
-		g := h[0]
-		kr := groups[g][idx[g]]
-		idx[g]++
-		if idx[g] >= len(groups[g]) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftDown(0)
-		emit(kr)
+	for _, pp := range parts {
+		pp.release()
 	}
 	return rows
 }
 
-// mergeHeapMin is the group count at which mergeSortedKeyed switches
+// mergeHeapMin is the partition count at which mergeProjections switches
 // from a linear head scan to the heap.
 const mergeHeapMin = 8
 
@@ -662,7 +812,7 @@ func (e *Engine) executePipelined(ctx context.Context, q Query, plan *execPlan, 
 	// the probe run against the frozen half before the grace join covers
 	// the spilled half — the two match sets are disjoint because every
 	// build row lives on exactly one side.
-	projParts := make([][]keyedRow, parts[n-1]) // last stage's sorted projected rows
+	projParts := make([]*stageProj, parts[n-1]) // last stage's sorted projections
 	stageWg := make([]sync.WaitGroup, n)
 	for si := 1; si < n; si++ {
 		stageWg[si].Add(parts[si])
@@ -963,9 +1113,8 @@ func (e *Engine) executePipelined(ctx context.Context, q Query, plan *execPlan, 
 					rt.flush()
 					stageBatches[si][p] = rt.batches
 				} else {
-					rows, perr := proj.finish()
-					fail(perr)
-					projParts[p] = rows
+					fail(proj.finish())
+					projParts[p] = proj
 					if proj.spilled {
 						projSpills[p] = 1
 						projRunCnt[p] = len(proj.runs)
@@ -1057,6 +1206,6 @@ func (e *Engine) executePipelined(ctx context.Context, q Query, plan *execPlan, 
 	// duplicates and yields the deterministic global order shared by all
 	// execution paths.
 	st.JoinedRows = int(stepOut[n-1])
-	res.Rows = mergeSortedKeyed(projParts, bud)
+	res.Rows = mergeProjections(projParts, bud)
 	return nil
 }

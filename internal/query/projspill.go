@@ -2,16 +2,14 @@ package query
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	"repro/internal/kb"
 	"repro/internal/query/mem"
+	"repro/internal/rowcodec"
 )
 
 // This file makes the last stage's streaming projection (stageProj,
@@ -20,17 +18,19 @@ import (
 // previously trade for disk: a query whose *distinct answer set* alone
 // exceeded the cap blew past it via MustReserve. Now the set reserves
 // from the shared spillable pool in chunk-sized grants; when a grant is
-// refused the buffered rows rotate to a sorted temp-file run — the row
-// key doubles as the record (it IS the row's full encoding, decodable
-// cell by cell) — and finish() merge-dedups the sorted runs with the
-// sorted in-memory remainder back into the partition's deterministic
-// row order. Rows that reach the caller are charged to the root as
-// before (they are the answer); only the transient dedup state spills.
+// refused the buffered rows rotate to a sorted temp-file run — the only
+// place a projected row's key is ever built: the row key doubles as the
+// record (it IS the row's full encoding, decodable cell by cell) — and
+// finish() merge-dedups the sorted runs with the sorted in-memory
+// remainder back into the partition's deterministic row order. Rows
+// that reach the caller are charged to the root as before (they are the
+// answer); only the transient dedup state spills.
 //
-// A duplicate row can land in two runs (the dedup map forgets spilled
-// keys), but a duplicated key always carries a cell-identical row —
-// the key is the row's encoding — so the merge's first-wins dedup
-// yields exactly the rows an unbounded run yields, byte-identical.
+// A duplicate row can land in two runs (the dedup set forgets spilled
+// rows), but equal rows are cell-identical and the run order
+// (bytes.Compare over row keys) is exactly rowcodec.CompareRows, so the
+// merge's first-wins dedup yields exactly the rows an unbounded run
+// yields, byte-identical.
 
 const (
 	// projChunkBytes is the granularity of the projection's spillable
@@ -44,13 +44,6 @@ const (
 	// the projection into per-row runs.
 	projRotateMinBytes = 64 << 10
 )
-
-// projRowCost is the accounted retention of one distinct projected row:
-// its key string (map entry + keyedRow copy), the keyedRow header and
-// the row's value cells.
-func projRowCost(key string, selN int) int64 {
-	return 2*int64(len(key)) + 24 + int64(selN)*valueBytes
-}
 
 // projRun is one sorted temp-file run of projected-row keys. Records
 // are uvarint-length-prefixed key bytes, written in ascending key order;
@@ -76,13 +69,13 @@ func newProjRun(dir string, bud *mem.Budget) (*projRun, error) {
 
 // add appends one key record, returning the bytes written
 // (Stats.SpilledBytes).
-func (r *projRun) add(key string) (int64, error) {
+func (r *projRun) add(key []byte) (int64, error) {
 	var lenb [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenb[:], uint64(len(key)))
 	if _, err := r.w.Write(lenb[:n]); err != nil {
 		return 0, fmt.Errorf("query: projection spill write: %w", err)
 	}
-	if _, err := r.w.WriteString(key); err != nil {
+	if _, err := r.w.Write(key); err != nil {
 		return 0, fmt.Errorf("query: projection spill write: %w", err)
 	}
 	r.keys++
@@ -183,10 +176,11 @@ func (pp *stageProj) ensure(n int64) {
 }
 
 // rotate writes the buffered dedup set to a sorted run and resets it,
-// releasing its pool reservation. The dedup map forgets the spilled
-// keys; the merge at finish() re-drops any re-projected duplicates.
+// releasing its pool reservation. The dedup set forgets the spilled
+// rows; the merge at finish() re-drops any re-projected duplicates. The
+// arena keeps its blocks for the next set — its cells now live on disk.
 func (pp *stageProj) rotate() {
-	slices.SortFunc(pp.rows, func(a, b keyedRow) int { return strings.Compare(a.key, b.key) })
+	ord := pp.sortOrdinals()
 	r, err := newProjRun(pp.dir, pp.bud)
 	if err != nil {
 		pp.err = err
@@ -194,52 +188,50 @@ func (pp *stageProj) rotate() {
 	}
 	pp.runs = append(pp.runs, r)
 	pp.spilled = true
-	for i := range pp.rows {
-		n, err := r.add(pp.rows[i].key)
+	var key []byte
+	for _, o := range ord {
+		key = appendRowKey(key[:0], pp.row(o))
+		n, err := r.add(key)
 		if err != nil {
 			pp.err = err
 			break
 		}
 		pp.bytes += n
 	}
-	clear(pp.keys)
-	pp.rows = pp.rows[:0]
+	pp.resetSet()
 	pp.spill.Release(pp.charged)
 	pp.charged, pp.headroom = 0, 0
 }
 
-// finish returns the partition's deduplicated rows in ascending key
-// order, merging any spilled runs back. The returned rows' retention is
-// charged to the root either way — they are the answer; only the dedup
-// state was spillable.
-func (pp *stageProj) finish() ([]keyedRow, error) {
-	clear(pp.keys)
-	projKeysPool.Put(pp.keys)
-	pp.keys = nil
+// finish sorts the partition's deduplicated rows into ascending row
+// order (set.ord), merging any spilled runs back; mergeProjections reads
+// them from there. Their retention is charged to the root either way —
+// they are the answer; only the dedup state was spillable. On error the
+// dedup state goes straight back to the pool.
+func (pp *stageProj) finish() error {
 	if pp.err != nil {
 		pp.cleanup()
-		return nil, pp.err
+		pp.release()
+		return pp.err
 	}
-	// Keys are unique within the buffered set (deduped on add), so the
-	// unstable slices sort is deterministic and avoids sort.Slice's
-	// reflection swaps on the hot final stage.
-	slices.SortFunc(pp.rows, func(a, b keyedRow) int { return strings.Compare(a.key, b.key) })
+	pp.sortOrdinals()
 	if pp.spill == nil {
-		return pp.rows, nil
+		return nil
 	}
 	// Hand the retention from the spillable pool back before charging
 	// the root for the final rows, so the two never stack in the peak.
 	pp.spill.Release(pp.charged)
 	pp.charged, pp.headroom = 0, 0
 	if len(pp.runs) == 0 {
-		for i := range pp.rows {
-			pp.bud.MustReserve(projRowCost(pp.rows[i].key, len(pp.sel)))
-		}
-		return pp.rows, nil
+		pp.bud.MustReserve(int64(pp.n) * pp.rowCost)
+		return nil
 	}
-	rows, err := pp.mergeRuns()
+	err := pp.mergeRuns()
 	pp.cleanup()
-	return rows, err
+	if err != nil {
+		pp.release()
+	}
+	return err
 }
 
 // cleanup closes any runs and drops remaining pool reservations (the
@@ -252,111 +244,92 @@ func (pp *stageProj) cleanup() {
 	pp.charged, pp.headroom = 0, 0
 }
 
-// decodeProjKey reconstructs a projected row from its key — the key is
-// appendValueKey over the SELECT cells, so it decodes cell by cell.
-func decodeProjKey(key []byte, selN int) ([]kb.Value, error) {
-	//lint:onion-ignore the caller (mergeRuns) charges projRowCost to the root for every merged row it retains; decode itself holds nothing past return
-	row := make([]kb.Value, selN)
+// decodeProjKey decodes a projected row from its key into cells — the
+// key is appendRowKey over the SELECT cells, so it decodes cell by cell.
+func decodeProjKey(key []byte, cells []kb.Value) error {
 	body := key
-	for k := 0; k < selN; k++ {
+	for k := range cells {
 		v, consumed, err := decodeValueKey(body)
 		if err != nil {
-			return nil, fmt.Errorf("query: projection spill cell %d: %w", k, err)
+			return fmt.Errorf("query: projection spill cell %d: %w", k, err)
 		}
-		row[k] = v
+		cells[k] = v
 		body = body[consumed:]
 	}
 	if len(body) != 0 {
-		return nil, fmt.Errorf("query: projection spill record has %d trailing bytes", len(body))
+		return fmt.Errorf("query: projection spill record has %d trailing bytes", len(body))
 	}
-	return row, nil
-}
-
-// cmpKeyBytes compares a run head against a string key without
-// materialising either.
-func cmpKeyBytes(b []byte, s string) int {
-	n := min(len(b), len(s))
-	for i := 0; i < n; i++ {
-		if b[i] != s[i] {
-			if b[i] < s[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(b) < len(s):
-		return -1
-	case len(b) > len(s):
-		return 1
-	}
-	return 0
+	return nil
 }
 
 // mergeRuns merge-dedups the sorted runs with the sorted in-memory
-// remainder (pp.rows): a linear head scan — run counts are small, one
-// per rotation — emitting each distinct key once, decoding spilled rows
-// from their keys and charging every surviving row to the root.
-func (pp *stageProj) mergeRuns() ([]keyedRow, error) {
+// remainder (set.ord): a linear head scan — run counts are small, one
+// per rotation — emitting each distinct row once. Spilled rows decode
+// into the arena as new ordinals, every surviving row is charged to the
+// root, and set.ord becomes the merged order.
+func (pp *stageProj) mergeRuns() error {
+	selN := len(pp.sel)
 	readers := make([]*projReader, len(pp.runs))
-	heads := make([][]byte, len(pp.runs))
+	live := make([]bool, len(pp.runs))
+	// Decoded run heads, selN cells per run: transient, released on return.
+	headBytes := int64(len(pp.runs)*selN) * valueBytes
+	pp.bud.MustReserve(headBytes)
+	defer pp.bud.Release(headBytes)
+	heads := make([]kb.Value, len(pp.runs)*selN)
+	head := func(i int) []kb.Value { return heads[i*selN : (i+1)*selN] }
+	advance := func(i int) error {
+		key, ok, err := readers[i].next()
+		if err != nil || !ok {
+			live[i] = false
+			return err
+		}
+		live[i] = true
+		return decodeProjKey(key, head(i))
+	}
 	for i, r := range pp.runs {
 		pr, err := r.reader()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		readers[i] = pr
-		if heads[i], _, err = pr.next(); err != nil {
-			return nil, err
+		if err := advance(i); err != nil {
+			return err
 		}
 	}
-	var out []keyedRow
+	rem := pp.set.ord
+	merged := make([]int32, 0, len(rem))
+	var last []kb.Value
 	ri := 0 // next in-memory remainder row
-	lastKey, have := "", false
 	for {
 		best := -1 // run with the smallest head
-		for i, h := range heads {
-			if h == nil {
-				continue
-			}
-			if best == -1 || bytes.Compare(h, heads[best]) < 0 {
+		for i := range readers {
+			if live[i] && (best == -1 || rowcodec.CompareRows(head(i), head(best)) < 0) {
 				best = i
 			}
 		}
-		fromRem := best == -1 ||
-			(ri < len(pp.rows) && cmpKeyBytes(heads[best], pp.rows[ri].key) >= 0)
-		if best == -1 && ri >= len(pp.rows) {
-			return out, nil
+		if best == -1 && ri >= len(rem) {
+			pp.set.ord = merged
+			return nil
 		}
-		if fromRem {
-			kr := pp.rows[ri]
+		if best == -1 || (ri < len(rem) && rowcodec.CompareRows(head(best), pp.row(rem[ri])) >= 0) {
+			o := rem[ri]
 			ri++
-			if have && kr.key == lastKey {
+			if last != nil && sameRow(pp.row(o), last) {
 				continue
 			}
-			lastKey, have = kr.key, true
-			pp.bud.MustReserve(projRowCost(kr.key, len(pp.sel)))
-			out = append(out, kr)
+			last = pp.row(o)
+			pp.bud.MustReserve(pp.rowCost)
+			merged = append(merged, o)
 			continue
 		}
-		h := heads[best]
-		var err error
-		if have && string(h) == lastKey {
-			if heads[best], _, err = readers[best].next(); err != nil {
-				return nil, err
-			}
-			continue
+		if last == nil || !sameRow(head(best), last) {
+			pp.bud.MustReserve(pp.rowCost)
+			o := pp.appendRow(head(best))
+			last = pp.row(o)
+			merged = append(merged, o)
 		}
-		key := string(h)
-		row, err := decodeProjKey(h, len(pp.sel))
-		if err != nil {
-			return nil, err
+		if err := advance(best); err != nil {
+			return err
 		}
-		if heads[best], _, err = readers[best].next(); err != nil {
-			return nil, err
-		}
-		lastKey, have = key, true
-		pp.bud.MustReserve(projRowCost(key, len(pp.sel)))
-		out = append(out, keyedRow{key, row})
 	}
 }

@@ -52,18 +52,7 @@ import (
 func AppendValue(buf []byte, v kb.Value) []byte {
 	buf = append(buf, byte(v.Kind))
 	if v.Kind == kb.KindNumber {
-		bits := math.Float64bits(v.Num)
-		if math.IsNaN(v.Num) {
-			bits = 0x7FF8000000000000
-		}
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
-		var n [8]byte
-		binary.BigEndian.PutUint64(n[:], bits)
-		return append(buf, n[:]...)
+		return binary.BigEndian.AppendUint64(buf, orderBits(v.Num))
 	}
 	s := v.Str
 	for {
@@ -138,6 +127,72 @@ func DecodeValue(b []byte) (kb.Value, int, error) {
 		}
 		return kb.Value{Kind: kind, Str: sb.String()}, j + 1, nil
 	}
+}
+
+// CompareCells orders two cells exactly as bytes.Compare orders their
+// AppendValue encodings, without encoding either: kind tag first, then
+// numbers by the sign-flipped IEEE image (every NaN as the canonical
+// quiet NaN) and terms and strings by plain byte order. The escape
+// framing needs no special case: a payload NUL encodes as 0x00 0xff and
+// the terminator as 0x00, so a payload that is a proper prefix of
+// another encodes below it, and at the first differing payload byte a
+// NUL (0x00 …) sorts below any other byte — both exactly as raw byte
+// order has it. It returns 0 exactly when SameCell holds.
+//
+// Because every cell encoding is either prefix-free against the other
+// or, when one is a proper prefix, followed in the longer one by 0xff
+// (above every kind tag and the end of a row), comparing two rows cell
+// by cell with CompareCells yields bytes.Compare of their AppendRow keys.
+func CompareCells(a, b kb.Value) int {
+	if a.Kind != b.Kind {
+		if a.Kind < b.Kind {
+			return -1
+		}
+		return 1
+	}
+	if a.Kind != kb.KindNumber {
+		return strings.Compare(a.Str, b.Str)
+	}
+	x, y := orderBits(a.Num), orderBits(b.Num)
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
+}
+
+// CompareRows orders two rows as bytes.Compare orders their AppendRow
+// keys: CompareCells cell by cell, a row that is a cell-wise prefix of
+// the other first.
+func CompareRows(a, b []kb.Value) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if c := CompareCells(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return 1
+	}
+	return 0
+}
+
+// orderBits is the number image AppendValue writes big-endian: NaN
+// canonicalised, then the sign-flip transform that makes unsigned order
+// numeric order.
+func orderBits(f float64) uint64 {
+	bits := math.Float64bits(f)
+	if f != f {
+		bits = 0x7FF8000000000000
+	}
+	if bits&(1<<63) != 0 {
+		return ^bits
+	}
+	return bits | 1<<63
 }
 
 // SameCell reports whether two cells are equal under the engine's value

@@ -113,3 +113,102 @@ func TestDecodeGarbage(t *testing.T) {
 		t.Fatalf("unterminated escaped payload accepted")
 	}
 }
+
+// fuzzCell builds a cell of any kind from fuzz inputs; kinds outside
+// the three real ones fold onto them so every input is a valid cell.
+func fuzzCell(kind uint8, str string, bits uint64) kb.Value {
+	switch kb.ValueKind(kind % 3) {
+	case kb.KindNumber:
+		return kb.Number(math.Float64frombits(bits))
+	case kb.KindString:
+		return kb.String(str)
+	}
+	return kb.Term(str)
+}
+
+func sign(c int) int {
+	switch {
+	case c < 0:
+		return -1
+	case c > 0:
+		return 1
+	}
+	return 0
+}
+
+// checkCompare asserts CompareCells against the encoding it stands in
+// for: same sign as bytes.Compare over AppendValue, zero exactly when
+// SameCell holds, antisymmetric — and the same for two-cell rows, whose
+// order must match bytes.Compare over AppendRow.
+func checkCompare(t *testing.T, a, b kb.Value) {
+	t.Helper()
+	got := CompareCells(a, b)
+	want := bytes.Compare(AppendValue(nil, a), AppendValue(nil, b))
+	if sign(got) != want {
+		t.Fatalf("CompareCells(%#v, %#v) = %d, encodings compare %d", a, b, got, want)
+	}
+	if (got == 0) != SameCell(a, b) {
+		t.Fatalf("CompareCells(%#v, %#v) = %d but SameCell = %v", a, b, got, SameCell(a, b))
+	}
+	if sign(CompareCells(b, a)) != -sign(got) {
+		t.Fatalf("CompareCells not antisymmetric on %#v, %#v", a, b)
+	}
+	for _, rows := range [][2][]kb.Value{
+		{{a, b}, {b, a}},
+		{{a}, {a, b}},
+		{{a, a}, {b}},
+	} {
+		got := CompareRows(rows[0], rows[1])
+		want := bytes.Compare(AppendRow(nil, rows[0]), AppendRow(nil, rows[1]))
+		if sign(got) != want {
+			t.Fatalf("CompareRows(%#v, %#v) = %d, row keys compare %d", rows[0], rows[1], got, want)
+		}
+	}
+}
+
+// TestCompareCellsMatchesEncoding runs the differential check over every
+// pair of the adversarial codec values.
+func TestCompareCellsMatchesEncoding(t *testing.T) {
+	vals := codecValues()
+	vals = append(vals,
+		kb.Number(math.Float64frombits(0x7FF0000000000001)), // signalling NaN
+		kb.Number(math.Float64frombits(0xFFF8000000000000)), // negative NaN
+		kb.Term("a\x00"), kb.String("a\x00"), kb.Term("\x00"), kb.Term("a\xff"))
+	for _, a := range vals {
+		for _, b := range vals {
+			checkCompare(t, a, b)
+		}
+	}
+}
+
+// FuzzCompareCells is the differential target for the projection's cell
+// comparator: its order must be byte-identical to the row keys the
+// spill runs and every other executor sort on.
+func FuzzCompareCells(f *testing.F) {
+	nan := math.Float64bits(math.NaN())
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	seeds := []struct {
+		ka uint8
+		sa string
+		ba uint64
+		kb uint8
+		sb string
+		bb uint64
+	}{
+		{uint8(kb.KindTerm), "3000", 0, uint8(kb.KindNumber), "", math.Float64bits(3000)},
+		{uint8(kb.KindTerm), "x", 0, uint8(kb.KindString), "x", 0},
+		{uint8(kb.KindNumber), "", nan, uint8(kb.KindNumber), "", 0x7FF0000000000001},
+		{uint8(kb.KindNumber), "", 0xFFF8000000000000, uint8(kb.KindNumber), "", 0x7FFFFFFFFFFFFFFF},
+		{uint8(kb.KindNumber), "", negZero, uint8(kb.KindNumber), "", 0},
+		{uint8(kb.KindTerm), "a\x00", 0, uint8(kb.KindTerm), "a", 0},
+		{uint8(kb.KindString), "a\x00b", 0, uint8(kb.KindString), "a\x00\xffb", 0},
+		{uint8(kb.KindTerm), "\x00", 0, uint8(kb.KindTerm), "", 0},
+		{uint8(kb.KindString), "a\xff", 0, uint8(kb.KindString), "a\x00", 0},
+	}
+	for _, s := range seeds {
+		f.Add(s.ka, s.sa, s.ba, s.kb, s.sb, s.bb)
+	}
+	f.Fuzz(func(t *testing.T, ka uint8, sa string, ba uint64, kbk uint8, sb string, bb uint64) {
+		checkCompare(t, fuzzCell(ka, sa, ba), fuzzCell(kbk, sb, bb))
+	})
+}
