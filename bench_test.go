@@ -326,21 +326,6 @@ func BenchmarkQueryPlannedPath(b *testing.B) {
 	}
 }
 
-// --- E12: PR 1 binding joins vs. slot-tuple joins (small world) ---
-
-func BenchmarkQueryCompatJoins(b *testing.B) {
-	eng := queryWorld(b)
-	q := query.MustParse("SELECT ?x ?p WHERE ?x InstanceOf Vehicle . ?x Price ?p")
-	opts := query.Options{CompatJoins: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.ExecuteWith(q, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- E9: inference strategies ---
 
 func ancestorEngine(b *testing.B, n int) *inference.Engine {

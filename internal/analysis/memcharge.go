@@ -16,7 +16,8 @@ import (
 // budget layer was built to make impossible.
 //
 // The check: in the executor files of a package whose path ends in
-// "query" (exec.go, pipeline.go, spill.go — the tuple execution path),
+// "query" (memChargeFiles: the per-step tuple executor, the batch
+// pipeline, the streaming projection and the spill machinery),
 // any `make` whose result type stores tuples (slices of kb.Value,
 // slices/maps of such slices) must sit in a function that also touches
 // the budget: calls (*mem.Budget).Reserve/MustReserve, or allocates
@@ -31,15 +32,17 @@ var MemCharge = &Analyzer{
 }
 
 // memChargeFiles are the tuple-execution files the contract covers —
-// the row-at-a-time path and the columnar batch path (whose column
-// vectors are tuple storage turned sideways).
+// the per-step tuple path, the columnar batch path (whose column
+// vectors are tuple storage turned sideways), the streaming projection
+// both paths share (whose cell arena holds the answer rows) and the
+// spill machinery under them.
 var memChargeFiles = map[string]bool{
-	"exec.go":      true,
-	"pipeline.go":  true,
-	"spill.go":     true,
-	"batch.go":     true,
-	"batchpipe.go": true,
-	"projspill.go": true,
+	"exec.go":       true,
+	"spill.go":      true,
+	"batch.go":      true,
+	"batchpipe.go":  true,
+	"projection.go": true,
+	"projspill.go":  true,
 }
 
 func runMemCharge(pass *Pass) error {

@@ -85,19 +85,17 @@ func All() []*Table {
 		E9Inference(nil),
 		E10Incremental(nil),
 		E11ParallelQuery(nil),
-		E12JoinHeavy(nil),
-		E13PipelineDepth(nil),
 		E14ServingThroughput(nil),
 		E15BoundedMemory(nil),
 		E16ColdStart(nil),
 		E17OverloadServing(nil),
 		E18ObservabilityOverhead(nil),
-		E19BatchExecution(nil),
 	}
 }
 
-// ByID runs one experiment by id ("E1".."E19"); ok is false for unknown
-// ids.
+// ByID runs one experiment by id ("E1".."E18"; E12, E13 and E19 are
+// retired — they compared against executors that no longer exist); ok
+// is false for unknown ids.
 func ByID(id string) (*Table, bool) {
 	switch strings.ToUpper(id) {
 	case "E1":
@@ -122,10 +120,6 @@ func ByID(id string) (*Table, bool) {
 		return E10Incremental(nil), true
 	case "E11":
 		return E11ParallelQuery(nil), true
-	case "E12":
-		return E12JoinHeavy(nil), true
-	case "E13":
-		return E13PipelineDepth(nil), true
 	case "E14":
 		return E14ServingThroughput(nil), true
 	case "E15":
@@ -136,8 +130,6 @@ func ByID(id string) (*Table, bool) {
 		return E17OverloadServing(nil), true
 	case "E18":
 		return E18ObservabilityOverhead(nil), true
-	case "E19":
-		return E19BatchExecution(nil), true
 	default:
 		return nil, false
 	}

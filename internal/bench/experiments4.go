@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/articulation"
 	"repro/internal/kb"
@@ -10,85 +9,6 @@ import (
 	"repro/internal/query"
 	"repro/internal/rules"
 )
-
-// joinInstances is how many instances each E12 source carries.
-const joinInstances = 1500
-
-// E12JoinHeavy compares the PR 1 planned executor (binding maps, map-copy
-// merges, string join keys, scan/join barrier — Options{CompatJoins})
-// against the slot-based tuple executor on queries whose cost is the
-// joins themselves: every conjunct matches every instance, so each step
-// carries the full frontier through a hash join. Both paths run the same
-// compiled plan; only the row representation and join machinery differ.
-// The sweep grows the WHERE clause one join at a time.
-func E12JoinHeavy(triples []int) *Table {
-	if triples == nil {
-		triples = []int{2, 3, 4, 5}
-	}
-	const nSources = 2
-	t := &Table{
-		ID:    "E12",
-		Title: "join execution — PR 1 binding joins vs. slot-tuple partitioned joins",
-		Columns: []string{"triples", "sources", "facts/src", "rows", "compat ms", "tuple ms",
-			"speedup", "partitions", "batches", "identical"},
-		Notes: []string{
-			fmt.Sprintf("%d instances per source; every conjunct matches every instance, so joins dominate", joinInstances),
-			fmt.Sprintf("workers = GOMAXPROCS (%d here); partitions/batches are 0 when the pool has one worker (inline join)", runtime.GOMAXPROCS(0)),
-			"both paths run warm (plan cache hit); identical checks byte-equal rows across compat, tuple and sequential",
-		},
-	}
-	const reps = 3
-	for _, nt := range triples {
-		eng, q, factsPerSrc := buildJoinWorld(nSources, joinInstances, nt)
-		compat := query.Options{CompatJoins: true}
-		tuple := query.Options{}
-
-		var resCompat, resTuple *query.Result
-		var err error
-		// One cold run compiles and caches the plan; the timed runs are
-		// the steady state a query-serving deployment lives in.
-		if resCompat, err = eng.ExecuteWith(q, compat); err != nil {
-			panic(err)
-		}
-		dCompat := timeIt(func() {
-			for i := 0; i < reps; i++ {
-				if resCompat, err = eng.ExecuteWith(q, compat); err != nil {
-					panic(err)
-				}
-			}
-		}) / reps
-		if resTuple, err = eng.ExecuteWith(q, tuple); err != nil {
-			panic(err)
-		}
-		dTuple := timeIt(func() {
-			for i := 0; i < reps; i++ {
-				if resTuple, err = eng.ExecuteWith(q, tuple); err != nil {
-					panic(err)
-				}
-			}
-		}) / reps
-		resSeq, err := eng.ExecuteWith(q, query.Options{Sequential: true})
-		if err != nil {
-			panic(err)
-		}
-		speedup := 0.0
-		if dTuple > 0 {
-			speedup = float64(dCompat) / float64(dTuple)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", nt),
-			fmt.Sprintf("%d", nSources),
-			fmt.Sprintf("%d", factsPerSrc),
-			fmt.Sprintf("%d", len(resTuple.Rows)),
-			ms(dCompat), ms(dTuple),
-			fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprintf("%d", resTuple.Stats.JoinPartitions),
-			fmt.Sprintf("%d", resTuple.Stats.StreamedBatches),
-			okMark(resCompat.EqualRows(resTuple) && resSeq.EqualRows(resTuple)),
-		})
-	}
-	return t
-}
 
 // e12Preds are the fact predicates of the join world, in WHERE order
 // after the leading InstanceOf conjunct.

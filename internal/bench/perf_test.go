@@ -1,41 +1,92 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/query"
 )
 
-// TestE12TupleBeatsCompat locks the E12 shape at a reduced scale: rows
-// byte-identical across all three paths and the tuple executor ahead of
-// the PR 1 binding executor on the join-heaviest row. The full ≥2x
-// margin is reported by `onionbench -exp E12`; the test asserts the
-// direction with slack for CI timing noise.
-func TestE12TupleBeatsCompat(t *testing.T) {
-	tab := E12JoinHeavy([]int{3, 5})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("E12 rows = %d", len(tab.Rows))
+// allocLeg is one leg of an absolute allocation gate: an execution
+// configuration, the path it must take, and its bound in allocations
+// per joined row for the whole warm execution.
+type allocLeg struct {
+	name      string
+	opts      query.Options
+	pipelined bool
+	bound     float64
+}
+
+// checkAllocsPerRow runs each leg warm under testing.AllocsPerRun and
+// fails when a leg takes the wrong path or allocates above its bound.
+func checkAllocsPerRow(t *testing.T, eng *query.Engine, q query.Query, legs []allocLeg) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("allocation accounting under -short")
 	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "ok" {
-			t.Errorf("E12 determinism check failed: %v", row)
-		}
-	}
-	if raceEnabled {
-		t.Skip("timing shape under the race detector; byte-identity already checked")
-	}
-	last := tab.Rows[len(tab.Rows)-1]
-	sp := parseFloat(t, strings.TrimSuffix(last[6], "x"))
-	if sp <= 1.0 {
-		t.Errorf("tuple executor not faster on join-heavy query: %v", last)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			res, err := eng.ExecuteWith(q, leg.opts) // warm plan, indexes and pools
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := res.Stats.JoinedRows
+			if rows == 0 {
+				t.Fatal("no joined rows")
+			}
+			if got := res.Stats.PipelinedSteps > 0; got != leg.pipelined {
+				t.Fatalf("pipelined = %v, want %v: %+v", got, leg.pipelined, res.Stats)
+			}
+			avg := testing.AllocsPerRun(3, func() {
+				if _, err := eng.ExecuteWith(q, leg.opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			perRow := avg / float64(rows)
+			t.Logf("%.3f allocs per joined row (total %.0f over %d rows)", perRow, avg, rows)
+			if perRow > leg.bound {
+				t.Errorf("allocs per joined row = %.3f, want <= %.2f", perRow, leg.bound)
+			}
+		})
 	}
 }
 
-// Allocation-regression benchmarks: run with -benchmem (CI's bench smoke
-// does) to track the per-operation allocation drop of the slot-tuple
-// representation against the retained PR 1 baseline on the E11 fan-out
-// and E12 join-heavy worlds.
+// TestE12WorldAllocsPerRow is the absolute allocation gate on the E12
+// join-heavy world (every conjunct matches every instance, so the
+// frontier stays at full width through three keyed joins), on the
+// per-step path (Workers:1, inline joins) and on the batch pipeline
+// (Workers:4). It fails on any return to per-row maps or unpooled
+// batches on either planned path.
+//
+// Bounds, from the values measured before the per-step path adopted the
+// streaming projection (2-CPU x86-64 box, GOMAXPROCS 1, 2 and 8):
+//   - workers-1: 5.36 then (a key string and a row slice per distinct
+//     row), 3.36 now, ~3.38 under -race; bound 8, 1.5x the earlier
+//     value.
+//   - workers-4: 0.31 (0.41-0.50 under -race, whose sync.Pool drops a
+//     share of Puts); bound 1, 2x the worst race sample.
+func TestE12WorldAllocsPerRow(t *testing.T) {
+	eng, q, _ := buildJoinWorld(2, 500, 4)
+	checkAllocsPerRow(t, eng, q, []allocLeg{
+		{"workers-1", query.Options{Workers: 1}, false, 8},
+		{"workers-4", query.Options{Workers: 4}, true, 1},
+	})
+}
+
+// TestE13WorldAllocsPerRow is the same gate on the deep-chain world,
+// where the frontier doubles at each of four keyed joins and every step
+// boundary streams batches between pipeline stages. Measured 0.055
+// allocs per joined row (0.10-0.12 under -race) on the same box; bound
+// 0.25, 2x the worst race sample.
+func TestE13WorldAllocsPerRow(t *testing.T) {
+	eng, q := buildChainWorld(8, 60, 5, 2)
+	checkAllocsPerRow(t, eng, q, []allocLeg{
+		{"workers-4", query.Options{Workers: 4}, true, 0.25},
+	})
+}
+
+// Allocation-tracking benchmarks: run with -benchmem (CI's bench smoke
+// does) to follow the per-operation allocations of the planned path on
+// the E11 fan-out, E12 join-heavy, E18 scaled join and deep-chain worlds.
 
 func benchWorldExec(b *testing.B, eng *query.Engine, q query.Query, opts query.Options) {
 	b.Helper()
@@ -56,78 +107,17 @@ func BenchmarkE11WorldTupleJoins(b *testing.B) {
 	benchWorldExec(b, eng, q, query.Options{})
 }
 
-func BenchmarkE11WorldCompatJoins(b *testing.B) {
-	eng, q, _ := buildFanoutWorld(8, 500)
-	benchWorldExec(b, eng, q, query.Options{CompatJoins: true})
-}
-
 func BenchmarkE12WorldTupleJoins(b *testing.B) {
 	eng, q, _ := buildJoinWorld(2, 500, 4)
 	benchWorldExec(b, eng, q, query.Options{})
 }
 
-func BenchmarkE12WorldCompatJoins(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, 500, 4)
-	benchWorldExec(b, eng, q, query.Options{CompatJoins: true})
-}
-
-// BenchmarkE12WorldPartitionedJoins exercises the streamed partitioned
-// join machinery (forced 4-way pool) so its costs are tracked even on
-// single-CPU runners.
-func BenchmarkE12WorldPartitionedJoins(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, 500, 4)
-	benchWorldExec(b, eng, q, query.Options{Workers: 4, StepBarriers: true})
-}
-
-// The E19 pair: the columnar batch executor vs. the row-at-a-time
-// pipeline it replaced as the default pipelined data plane, on the
-// scaled-up E19 join world — for -benchmem tracking and profiling.
-
-func BenchmarkE19WorldRowPipeline(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, e19Instances, 4)
-	benchWorldExec(b, eng, q, query.Options{Workers: chainWorkers, RowAtATime: true})
-}
-
+// BenchmarkE19WorldBatch runs the batch pipeline on the scaled-up join
+// world (E18's size) with a forced pool, for -benchmem tracking and
+// profiling.
 func BenchmarkE19WorldBatch(b *testing.B) {
-	eng, q, _ := buildJoinWorld(2, e19Instances, 4)
+	eng, q, _ := buildJoinWorld(2, e18Instances, 4)
 	benchWorldExec(b, eng, q, query.Options{Workers: chainWorkers})
-}
-
-// TestE13PipelineBeatsBarriers locks the E13 shape at a reduced scale:
-// rows cell-identical across barrier, pipeline and sequential, the
-// pipeline stats populated, and the cross-step pipeline ahead of the
-// per-step-barrier executor on the deepest chain. The full ≥1.3x margin
-// is reported by `onionbench -exp E13`; the test asserts the direction
-// with slack for CI timing noise.
-func TestE13PipelineBeatsBarriers(t *testing.T) {
-	tab := E13PipelineDepth([]int{3, 5})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("E13 rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "ok" {
-			t.Errorf("E13 determinism check failed: %v", row)
-		}
-		if row[7] == "0" {
-			t.Errorf("E13 pipeline did not stream across steps: %v", row)
-		}
-	}
-	if raceEnabled {
-		t.Skip("timing shape under the race detector; cell-identity already checked")
-	}
-	last := tab.Rows[len(tab.Rows)-1]
-	sp := parseFloat(t, strings.TrimSuffix(last[5], "x"))
-	if sp <= 1.0 {
-		t.Errorf("pipeline not faster on deep chain: %v", last)
-	}
-}
-
-// Cross-step pipeline vs. per-step barriers on the deep-chain world —
-// the E13 pair for -benchmem tracking.
-
-func BenchmarkE13WorldStepBarriers(b *testing.B) {
-	eng, q := buildChainWorld(8, 60, 5, 2)
-	benchWorldExec(b, eng, q, query.Options{Workers: 4, StepBarriers: true})
 }
 
 func BenchmarkE13WorldPipelined(b *testing.B) {

@@ -675,7 +675,7 @@ func (s *System) Query(artName, text string) (*query.Result, error) {
 // run as a cross-step streaming pipeline whose per-step partition
 // counts the planner derives from its estimates — plus a MemoryLimit
 // under which pipeline joins degrade to grace-hash spilling, and the
-// per-step barrier, sequential-reference and compat-join paths). The
+// sequential reference path). The
 // returned Result's Stats carry the execution counters, including
 // JoinPartitions, StreamedBatches, PipelinedSteps and StepPartitions
 // from the partitioned scan→join pipeline and BytesReserved,

@@ -13,8 +13,8 @@ import (
 // selection bitmap instead of survivor copies, a []uint64 hash vector
 // filled one key column at a time, and budget accounting charged once
 // per batch (column capacity) instead of once per tuple. The tuple type
-// stays the row-at-a-time currency (spill runs, the RowAtATime pipeline,
-// the per-step executor); a colBatch is the same rows turned sideways.
+// stays the row-at-a-time currency (spill runs and the per-step
+// executor); a colBatch is the same rows turned sideways.
 
 // batchRows is the row capacity of one column batch — scans fill batches
 // in runs of this size and every vectorized pass (hash, filter, scatter)
@@ -191,10 +191,10 @@ func (b *colBatch) selected() int {
 // batchHashSeed starts every row's key-hash accumulation; hashCell folds
 // one key column's cell in. The batch path hashes values directly —
 // kind, canonical float bits, string bytes — instead of encoding the key
-// to rowkey bytes first (the row pipeline's appendSlotKey+hashKey), so a
-// batch hash pass touches each column once with no byte materialisation.
-// The two executors never mix hashes within one execution, so the
-// functions need not agree — but hashCell must respect the engine's join
+// to rowkey bytes first (the per-step path's appendSlotKey+hashKey), so
+// a batch hash pass touches each column once with no byte
+// materialisation. The two executors never mix hashes within one
+// execution, so the functions need not agree — but hashCell must respect the engine's join
 // equality (sameCell): equal cells hash equal, every NaN hashes in one
 // class, and +0/-0 may differ (they never join).
 const batchHashSeed = 0x9E3779B97F4A7C15
@@ -319,9 +319,8 @@ func (b *colBatch) copyRow(src *colBatch, i int, h uint64, slots []int) {
 }
 
 // rowTuple copies row i's listed slots into the scratch tuple — the
-// bridge to the row-at-a-time machinery the batch path shares with the
-// pipeline: spill runs encode tuples, and the grace-join completion
-// replays them. A scratch tuple is dedicated to one slot list, so the
+// bridge to the tuple spill machinery (spill.go): spill runs encode
+// tuples, and the grace-join completion replays them. A scratch tuple is dedicated to one slot list, so the
 // slots outside it stay zero (the tuple executor's unbound-slot
 // convention) and the encoded wire bytes are deterministic.
 func (b *colBatch) rowTuple(i int, scratch tuple, slots []int) tuple {
@@ -464,16 +463,6 @@ func (bs *buildStore) appendBatch(b *colBatch) {
 	for i := 0; i < b.n; i++ {
 		bs.link(base + int32(i))
 	}
-}
-
-// appendTuple adds one row-major row (the probe-replay and test paths).
-func (bs *buildStore) appendTuple(t tuple, h uint64) {
-	j := int32(len(bs.hashes))
-	for _, s := range bs.slots {
-		bs.cols[s] = append(bs.cols[s], t[s])
-	}
-	bs.hashes = append(bs.hashes, h)
-	bs.link(j)
 }
 
 func (bs *buildStore) rows() int { return len(bs.hashes) }

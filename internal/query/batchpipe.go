@@ -12,13 +12,32 @@ import (
 	"repro/internal/query/mem"
 )
 
-// This file is the columnar batch executor: the default data plane for
-// every pipelined execution (plan.batches) unless Options{RowAtATime}
-// pins the PR 3 tuple-at-a-time pipeline. The topology is exactly
-// executePipelined's — one bounded scan pool, per-(step,partition) stage
-// workers wired by channels, streaming projection, ordered merge — but
-// the currency between stages is a colBatch (batch.go) instead of a
-// []tuple batch, and the three per-row hot loops run vectorized:
+// This file is the columnar batch executor: the cross-step streaming
+// pipeline every planned execution runs when plan.pipelines chooses it
+// (more than one worker and a keyed join chain deep or heavy enough to
+// repay the setup). The per-step executor (exec.go) fully materialises
+// each join step's output before the next step's scans dispatch; here
+// every step runs concurrently instead:
+//
+//   - all steps' scans share one bounded worker pool, dispatched in step
+//     order, so a later step's sources scan while earlier joins probe;
+//   - each join step is a set of partition workers that build a hash
+//     table from the step's own scan output (routed by key hash) and
+//     probe it with the accumulated rows streamed from the previous
+//     step — no frontier is ever materialised between steps;
+//   - a step's probe output is re-hashed on the next step's key slots
+//     (plan.nextKeySlots) and streamed straight into the next step's
+//     partition channels;
+//   - when a step's output is provably empty the pipeline cancels:
+//     undispatched scans are skipped and the stages drain out;
+//   - the last stage's partitions dedup straight onto the SELECT slots
+//     (stageProj, projection.go) and the executor merges their sorted
+//     row sets.
+//
+// Partition counts are planner-derived per step (plan.stepPartCount)
+// unless Options{Partitions} pins a global count. The currency between
+// stages is a colBatch (batch.go), and the three per-row hot loops run
+// vectorized:
 //
 //   - hash computation is one pass per key column into the batch's
 //     []uint64 hash vector (hashKeys), with no rowkey byte
@@ -28,22 +47,34 @@ import (
 //   - filters clear bits in the batch's selection mask
 //     (applyFiltersVec) instead of copying survivors.
 //
-// The budget is charged once per batch at column capacity (batchAlloc)
-// instead of once per tuple/arena-block, and spilling reuses the row
-// pipeline's grace-hash machinery wholesale: batch rows bridge to the
-// rowkey wire format through a reusable scratch tuple (spillRun.add
-// encodes immediately and never retains its argument), and grace-join
-// emissions re-enter the columnar flow through batchOutput. Partitions
-// degrade hybrid: the already-reserved build prefix stays in memory and
-// only the overflow spills (Stats.HybridJoins).
+// Memory governance: the budget is charged once per batch at column
+// capacity (batchAlloc), and every stage partition's spillable retention
+// (build store, pending probe batches) reserves from a shared pool. A
+// partition whose reservation runs out degrades to the tuple grace-hash
+// machinery (spill.go): batch rows bridge to the rowkey wire format
+// through a reusable scratch tuple (spillRun.add encodes immediately and
+// never retains its argument), and grace-join emissions re-enter the
+// columnar flow through batchOutput. Partitions degrade hybrid: the
+// already-reserved build prefix stays in memory and only the overflow
+// spills (Stats.HybridJoins).
 //
-// Rows are byte-identical to every other executor. The batch hash
-// function differs from the row pipeline's (hashCell vs hashKey), so
-// rows land on different partitions — but a match pair routes to the
-// same partition under any key-hash function, every partition's row set
-// is deduped and sorted, and the final ordered merge normalises the
+// Rows are byte-identical to the Sequential oracle and the per-step
+// path. Row arrival order varies run to run, but a match pair routes to
+// the same partition under any key-hash function, every partition's row
+// set is deduped and sorted, and the final ordered merge normalises the
 // global order. JoinedRows/StepRows count post-filter emissions, which
 // are match-pair counts independent of partitioning and batching.
+
+// pipeChanDepth is the partition channel buffer: it absorbs producer/
+// consumer jitter, and stage workers always keep consuming (select over
+// both inputs), so bounded buffers cannot deadlock the pipeline — they
+// only apply backpressure upstream. Budgeted executions use the
+// shallower depth so the accounted in-flight volume stays well under
+// the cap.
+const (
+	pipeChanDepth     = 4
+	budgetedChanDepth = 2
+)
 
 // batchRouter scatters selected batch rows toward one step's partition
 // channels, one local batch per destination, sending each as it fills.
@@ -364,9 +395,12 @@ func (o *batchOutput) flush() {
 }
 
 // executeBatched runs a keyed join chain on the columnar batch pipeline.
-// Caller guarantees are executePipelined's (plan.batches implies
-// plan.pipelines); cancellation, spill-error drain, deterministic stat
-// merges and the final ordered merge all mirror it line for line.
+// Callers guarantee (plan.pipelines): more than one worker, at least two
+// steps, and every step after the first has key slots. A cancelled
+// context rides the same machinery as the provably-empty short-circuit:
+// remaining scan dispatch is skipped, the stages drain, and ctx.Err() is
+// returned instead of the partial result. A spill I/O failure drains the
+// same way and surfaces as the returned error.
 func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, opts Options, bud *mem.Budget, res *Result) error {
 	st := &res.Stats
 	width := len(plan.slotNames)
@@ -424,16 +458,22 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 		return stepSpans[si]
 	}
 
-	// Budget wiring matches the row pipeline: stage partitions' spillable
-	// retention (build stores, pending probe batches) reserves from a
-	// shared half-cap pool; the fixed working state — the batch pool's
-	// capacity charges, spill write buffers, projected rows — draws on
-	// the root via MustReserve.
+	// Budget wiring: every stage partition's spillable retention (build
+	// store + pending probe batches) reserves from one shared pool — half
+	// the cap — so memory fills first-come and only the overflow
+	// degrades to disk (a 2x-over-cap workload spills roughly half its
+	// partitions, not all of them). The other half of the cap is headroom
+	// for the fixed working state charged via MustReserve (the batch
+	// pool's capacity charges, spill write buffers, the projected rows)
+	// and for the grace joins' finish-time chunk reservations, which draw
+	// on the root directly.
 	limit := opts.MemoryLimit
 	chanDepth := pipeChanDepth
 	poolLimit := int64(0)
 	if limit > 0 {
 		chanDepth = budgetedChanDepth
+		// Floor at one byte: a degenerate limit must yield a pool that
+		// refuses everything (spill-everything), not an unlimited one.
 		poolLimit = max(limit/2, 1)
 	}
 	spillPool := bud.Child(poolLimit)
@@ -1018,4 +1058,26 @@ func (e *Engine) executeBatched(ctx context.Context, q Query, plan *execPlan, op
 	st.JoinedRows = int(stepOut[n-1])
 	res.Rows = mergeProjections(projParts, bud)
 	return nil
+}
+
+// stepFilterSets splits the query's filters by the step after which they
+// first apply (every variable bound), in join order — the pipelined
+// equivalent of applyTupleFilters' as-soon-as-bound rule, applied to
+// each batch's selection mask as rows stream between steps.
+func stepFilterSets(q Query, plan *execPlan) [][]Filter {
+	sets := make([][]Filter, len(plan.steps))
+	bound := make(map[string]bool)
+	taken := make([]bool, len(q.Filters))
+	for si := range plan.steps {
+		for _, v := range plan.steps[si].vars {
+			bound[v] = true
+		}
+		for fi, f := range q.Filters {
+			if !taken[fi] && bound[f.Var] {
+				taken[fi] = true
+				sets[si] = append(sets[si], f)
+			}
+		}
+	}
+	return sets
 }

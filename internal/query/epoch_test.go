@@ -145,26 +145,33 @@ func TestInvalidateCacheStillForcesFlush(t *testing.T) {
 // the call and when the deadline expires mid-execution.
 func TestExecuteCtxCancellation(t *testing.T) {
 	eng, q := deepChainEngine(t, 60, 2)
+	// The shallow chain runs per-step at Workers:4 (below the pipeline's
+	// cost gate), so its keyed join streams through the partitioned
+	// per-step join.
+	shallow := MustParse("SELECT ?x ?v0 WHERE ?x InstanceOf Item . ?x C1 ?v0")
 	done := context.Background()
 	cancelled, cancel := context.WithCancel(done)
 	cancel()
-	modes := []Options{
-		{Sequential: true},
-		{Workers: 1},
-		{Workers: 4},
-		{Workers: 4, StepBarriers: true},
-		{Workers: 4, CompatJoins: true},
+	modes := []struct {
+		q    Query
+		opts Options
+	}{
+		{q, Options{Sequential: true}},
+		{q, Options{Workers: 1}},
+		{q, Options{Workers: 4}},
+		{q, Options{Workers: 4, MemoryLimit: 1 << 14}},
+		{shallow, Options{Workers: 4}},
 	}
-	for _, opts := range modes {
-		if _, err := eng.ExecuteCtx(cancelled, q, opts); !errors.Is(err, context.Canceled) {
-			t.Errorf("%+v: pre-cancelled ctx returned %v, want context.Canceled", opts, err)
+	for _, m := range modes {
+		if _, err := eng.ExecuteCtx(cancelled, m.q, m.opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("%+v: pre-cancelled ctx returned %v, want context.Canceled", m.opts, err)
 		}
 		// A generous deadline must not disturb the result.
 		ctx, stop := context.WithTimeout(done, time.Minute)
-		res, err := eng.ExecuteCtx(ctx, q, opts)
+		res, err := eng.ExecuteCtx(ctx, m.q, m.opts)
 		stop()
 		if err != nil || len(res.Rows) == 0 {
-			t.Errorf("%+v: deadline run failed: %v", opts, err)
+			t.Errorf("%+v: deadline run failed: %v", m.opts, err)
 		}
 	}
 	// An already-expired deadline lands mid-pipeline dispatch: the
@@ -172,9 +179,9 @@ func TestExecuteCtxCancellation(t *testing.T) {
 	expired, stop := context.WithTimeout(done, time.Nanosecond)
 	defer stop()
 	time.Sleep(time.Millisecond)
-	for _, opts := range modes {
-		if _, err := eng.ExecuteCtx(expired, q, opts); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%+v: expired deadline returned %v", opts, err)
+	for _, m := range modes {
+		if _, err := eng.ExecuteCtx(expired, m.q, m.opts); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%+v: expired deadline returned %v", m.opts, err)
 		}
 	}
 }

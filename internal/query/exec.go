@@ -12,14 +12,17 @@ import (
 	"repro/internal/query/mem"
 )
 
-// This file is the slot-based tuple executor: the default planned
-// execution path. The compiled plan assigns every query variable a fixed
-// slot (plan.go), scans emit flat []kb.Value tuples, and joins key on the
-// precomputed slot lists — no shared-variable re-derivation over row
-// sets, no formatted string keys, no per-row map copies. When the worker
-// pool is larger than one, each keyed join is hash-partitioned across the
-// pool and scan output streams into the probe workers in batches, so
-// probing starts while slower sources are still scanning.
+// This file is the per-step slot-tuple executor: the planned path for
+// the plans the batch pipeline does not take (plan.pipelines) — a single
+// worker, a single step, a disconnected cross product, or a shallow chain
+// below the pipeline's cost gate. The compiled plan assigns every query
+// variable a fixed slot (plan.go), scans emit flat []kb.Value tuples,
+// and joins key on the precomputed slot lists — no shared-variable
+// re-derivation over row sets, no formatted string keys, no per-row map
+// copies. When the worker pool is larger than one, each keyed join is
+// hash-partitioned across the pool and scan output streams into the
+// probe workers in batches, so probing starts while slower sources are
+// still scanning.
 
 // tuple is one execution row: a fixed-width value vector indexed by plan
 // slot. Slots not yet bound after the current step hold the zero Value
@@ -168,7 +171,7 @@ func partsForBuild(buildRows int, opts Options, workers int) int {
 // has more than one worker), filters applied as soon as their variable is
 // bound. Scans dispatch one step at a time, so an empty join
 // short-circuits the remaining steps' scan work just like the sequential
-// path. Options{CompatJoins} swaps in the retained PR 1 executor.
+// path.
 func (e *Engine) executePlanned(ctx context.Context, q Query, opts Options) (*Result, error) {
 	var ps *obs.Span
 	if opts.Trace != nil {
@@ -191,19 +194,13 @@ func (e *Engine) executePlanned(ctx context.Context, q Query, opts Options) (*Re
 	st.ReorderedTriples = plan.reordered
 	st.Workers = 1
 	st.accrue(plan.expand)
-	var err error
-	if opts.CompatJoins {
-		err = e.executeCompat(ctx, q, plan, opts, res)
-	} else {
-		// The per-query memory budget: every tuple-executor component
-		// charges it (arenas, build tables, pending probe queues,
-		// projection sets, spill buffers), and under Options{MemoryLimit}
-		// the pipelined joins degrade to grace-hash spills rather than
-		// outgrow it.
-		bud := mem.New(opts.MemoryLimit)
-		err = e.executeTuples(ctx, q, plan, opts, bud, res)
-		st.BytesReserved = bud.Peak()
-	}
+	// The per-query memory budget: every executor component charges it
+	// (arenas, build tables, pending probe queues, projection sets, spill
+	// buffers), and under Options{MemoryLimit} the pipelined joins
+	// degrade to grace-hash spills rather than outgrow it.
+	bud := mem.New(opts.MemoryLimit)
+	err := e.executeTuples(ctx, q, plan, opts, bud, res)
+	st.BytesReserved = bud.Peak()
 	if err != nil {
 		return nil, err
 	}
@@ -211,21 +208,18 @@ func (e *Engine) executePlanned(ctx context.Context, q Query, opts Options) (*Re
 	return res, nil
 }
 
-// executeTuples runs the compiled plan on slot tuples. With more than
-// one worker and a keyed join chain it hands off to the cross-step
-// streaming pipeline (pipeline.go); otherwise — single worker, a single
-// step, a disconnected cross product, or Options{StepBarriers} — it runs
-// the per-step path, where each join step materialises its output before
-// the next step's scans dispatch.
+// executeTuples runs the compiled plan. When plan.pipelines chooses the
+// cross-step streaming pipeline it hands off to the columnar batch
+// executor (batchpipe.go); otherwise — a single worker, a single step, a
+// disconnected cross product, or a shallow chain below the pipeline's
+// cost gate — it runs the per-step path on slot tuples, where each join
+// step materialises its output before the next step's scans dispatch.
 func (e *Engine) executeTuples(ctx context.Context, q Query, plan *execPlan, opts Options, bud *mem.Budget, res *Result) error {
 	st := &res.Stats
 	width := len(plan.slotNames)
 	workers := resolveWorkers(opts)
-	if plan.batches(opts, workers) {
-		return e.executeBatched(ctx, q, plan, opts, bud, res)
-	}
 	if plan.pipelines(opts, workers) {
-		return e.executePipelined(ctx, q, plan, opts, bud, res)
+		return e.executeBatched(ctx, q, plan, opts, bud, res)
 	}
 
 	var rows []tuple
@@ -312,7 +306,15 @@ func (e *Engine) executeTuples(ctx context.Context, q Query, plan *execPlan, opt
 	if tr != nil {
 		span = tr.Child("project")
 	}
-	projectTuples(res, [][]tuple{rows}, q, plan, bud)
+	// The pipeline's streaming projection over one partition.
+	proj := newStepProj(q, plan, bud)
+	for _, t := range rows {
+		proj.add(t)
+	}
+	if err := proj.finish(); err != nil {
+		return err
+	}
+	res.Rows = mergeProjections([]*stageProj{proj}, bud)
 	if span != nil {
 		span.SetInt("rows", int64(len(res.Rows)))
 		span.End()
@@ -661,47 +663,4 @@ func applyTupleFilters(rows []tuple, filters []Filter, plan *execPlan, applied [
 		rows = kept
 	}
 	return rows
-}
-
-// projectTuples dedups the surviving tuples onto the SELECT slots and
-// sorts the rows into the deterministic output order shared by every
-// execution path. The dedup key is computed straight from the slots, so
-// duplicate rows are dropped before any output row is materialised. Rows
-// arrive as one or more slices (the pipelined executor hands its
-// per-partition outputs over directly, never concatenating the frontier).
-func projectTuples(res *Result, groups [][]tuple, q Query, plan *execPlan, bud *mem.Budget) {
-	sel := make([]int, len(q.Select))
-	for i, v := range q.Select {
-		sel[i] = plan.slotOf[v]
-	}
-	total := 0
-	for _, rows := range groups {
-		total += len(rows)
-	}
-	keys := make(map[string]bool, total)
-	var keep []keyedRow
-	var sb []byte
-	for _, rows := range groups {
-		for _, t := range rows {
-			sb = sb[:0]
-			for _, s := range sel {
-				sb = appendValueKey(sb, t[s])
-			}
-			if keys[string(sb)] {
-				continue
-			}
-			key := string(sb)
-			keys[key] = true
-			out := make([]kb.Value, len(sel))
-			for i, s := range sel {
-				out[i] = t[s]
-			}
-			// The kept row is final output that cannot spill: charge it as
-			// fixed working state — its key (map entry and keyedRow copy),
-			// the keyedRow header and its cells.
-			bud.MustReserve(2*int64(len(key)) + 24 + int64(len(sel))*valueBytes)
-			keep = append(keep, keyedRow{key, out})
-		}
-	}
-	res.Rows = sortKeyedRows(keep)
 }

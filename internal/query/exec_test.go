@@ -52,9 +52,10 @@ func joinHeavyEngine(t testing.TB, instances int) (*Engine, Query) {
 	return eng, q
 }
 
-// TestTupleExecutorMatchesReferences checks the three execution paths —
-// sequential reference, PR 1 compat joins, slot-tuple joins (inline and
-// partitioned/streamed) — against each other on the join-heavy world.
+// TestTupleExecutorMatchesReferences checks the planned paths — per-step
+// inline joins and the batch pipeline (default, pinned and budgeted
+// partitioning) — against the sequential reference on the join-heavy
+// world.
 func TestTupleExecutorMatchesReferences(t *testing.T) {
 	eng, q := joinHeavyEngine(t, 300)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -69,15 +70,11 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 		opts Options
 	}{
 		{"tuple-inline", Options{Workers: 1}},
-		{"tuple-barrier-pool", Options{Workers: 4, StepBarriers: true}},
 		{"pipelined", Options{Workers: 4}},
 		{"pipelined-cached", Options{Workers: 4}},
 		{"pipelined-parts-3", Options{Workers: 4, Partitions: 3}},
-		{"row-pipeline", Options{Workers: 4, RowAtATime: true}},
-		{"row-pipeline-parts-3", Options{Workers: 4, Partitions: 3, RowAtATime: true}},
+		{"pipelined-2-parts-7", Options{Workers: 2, Partitions: 7}},
 		{"batch-16k-budget", Options{Workers: 4, MemoryLimit: 1 << 14}},
-		{"compat-inline", Options{Workers: 1, CompatJoins: true}},
-		{"compat-pool", Options{Workers: 4, CompatJoins: true}},
 	}
 	for _, m := range modes {
 		got, err := eng.ExecuteWith(q, m.opts)
@@ -110,28 +107,9 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 	if got.Stats.PipelinedSteps == 0 {
 		t.Errorf("pooled chain did not pipeline: %+v", got.Stats)
 	}
-	// The default pipelined run executes on the columnar batch plane;
-	// Options{RowAtATime} must pin the tuple plane on the same pool.
+	// The pipelined run executes on the columnar batch plane.
 	if got.Stats.Batches == 0 || got.Stats.BatchRows == 0 {
 		t.Errorf("default pipeline did not batch: %+v", got.Stats)
-	}
-	rowLeg, err := eng.ExecuteWith(q, Options{Workers: 4, RowAtATime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rowLeg.Stats.Batches != 0 || rowLeg.Stats.BatchRows != 0 {
-		t.Errorf("RowAtATime run reported column batches: %+v", rowLeg.Stats)
-	}
-	// So must the per-step barrier run — within each step.
-	barrier, err := eng.ExecuteWith(q, Options{Workers: 4, StepBarriers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if barrier.Stats.JoinPartitions < 1 || barrier.Stats.StreamedBatches == 0 {
-		t.Errorf("barrier run did not partition/stream within steps: %+v", barrier.Stats)
-	}
-	if barrier.Stats.PipelinedSteps != 0 {
-		t.Errorf("barrier run claims pipelining: %+v", barrier.Stats)
 	}
 	// An explicit global Partitions override still pins every step.
 	pinned, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 4})
@@ -149,6 +127,72 @@ func TestTupleExecutorMatchesReferences(t *testing.T) {
 	if inline.Stats.JoinPartitions != 0 || inline.Stats.StreamedBatches != 0 {
 		t.Errorf("inline run reported partition stats: %+v", inline.Stats)
 	}
+	if inline.Stats.PipelinedSteps != 0 || inline.Stats.Batches != 0 {
+		t.Errorf("inline run claims the pipeline: %+v", inline.Stats)
+	}
+}
+
+// TestPlanChosenPerStepMatchesSequential covers the per-step shapes a
+// pooled execution reaches through the plan alone, with no option
+// forcing them: a shallow keyed chain whose summed scan estimate sits
+// below shallowPipelineMinEst (each keyed join hash-partitioned across
+// the pool and fed by streamed scan batches — joinStreamed), and a
+// cross product followed by a keyed join (not chainKeyed, so never
+// pipelined). Rows must be byte-identical to the sequential reference
+// under every pool size and partition pin.
+func TestPlanChosenPerStepMatchesSequential(t *testing.T) {
+	eng, _ := joinHeavyEngine(t, 300)
+	small, _ := joinHeavyEngine(t, 60)
+	cases := []struct {
+		name  string
+		eng   *Engine
+		q     Query
+		cross bool // the plan has a cross-product step
+	}{
+		{"shallow-streamed", eng, MustParse(`SELECT ?x ?p WHERE ?x InstanceOf Item . ?x Price ?p . FILTER ?p > 100`), false},
+		{"cross-then-keyed", small, MustParse(`SELECT ?x ?y ?p WHERE ?x InstanceOf Item . ?y Qty 7 . ?x Price ?p`), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			plan, _ := c.eng.cachedPlan(c.q)
+			if c.cross == plan.chainKeyed {
+				t.Fatalf("chainKeyed = %v, want %v", plan.chainKeyed, !c.cross)
+			}
+			if !c.cross && plan.totalEst >= shallowPipelineMinEst {
+				t.Fatalf("shallow chain estimate %d is not below the pipeline gate %d", plan.totalEst, shallowPipelineMinEst)
+			}
+			want, err := c.eng.ExecuteWith(c.q, Options{Sequential: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Rows) == 0 {
+				t.Fatal("world produced no rows")
+			}
+			for _, opts := range []Options{{Workers: 4}, {Workers: 2}, {Workers: 8}, {Workers: 4, Partitions: 3}} {
+				got, err := c.eng.ExecuteWith(c.q, opts)
+				if err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				if !want.EqualRows(got) {
+					t.Errorf("%+v diverged: sequential %d rows, got %d", opts, len(want.Rows), len(got.Rows))
+				}
+				if got.Stats.JoinedRows != want.Stats.JoinedRows {
+					t.Errorf("%+v JoinedRows = %d, want %d", opts, got.Stats.JoinedRows, want.Stats.JoinedRows)
+				}
+				// The plan, not a knob, chose the per-step path, and its
+				// keyed join ran partitioned with streamed scan batches.
+				if got.Stats.PipelinedSteps != 0 || got.Stats.Batches != 0 {
+					t.Errorf("%+v pipelined: %+v", opts, got.Stats)
+				}
+				if got.Stats.JoinPartitions == 0 || got.Stats.StreamedBatches == 0 {
+					t.Errorf("%+v keyed join did not partition and stream: %+v", opts, got.Stats)
+				}
+				if opts.Partitions > 0 && got.Stats.JoinPartitions != opts.Partitions {
+					t.Errorf("%+v JoinPartitions = %d, want %d", opts, got.Stats.JoinPartitions, opts.Partitions)
+				}
+			}
+		})
+	}
 }
 
 // TestTupleCrossProduct covers the disconnected-conjunct path (no shared
@@ -163,7 +207,7 @@ func TestTupleCrossProduct(t *testing.T) {
 	if len(want.Rows) == 0 {
 		t.Fatalf("cross product empty")
 	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {CompatJoins: true}} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 2, Partitions: 3}} {
 		got, err := eng.ExecuteWith(q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -224,8 +268,9 @@ func TestPartitionedJoinRaceHammer(t *testing.T) {
 // inline tuple path — the regression guard for the slot/tuple
 // representation. The binding-map representation it replaced spent
 // several map allocations per row; the tuple path amortises row storage
-// through arenas and must stay under a small constant per row (dedup
-// keys, output rows and map growth dominate).
+// through arenas and projects through the pipeline's ordinal-arena
+// projection, so it must stay under a small constant per row (build-map
+// growth and frontier slices dominate).
 func TestPerRowJoinAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting under -short")
@@ -246,22 +291,22 @@ func TestPerRowJoinAllocs(t *testing.T) {
 		}
 	})
 	perRow := avg / float64(rows)
-	// Measured ~8 allocs per joined row for the whole execution (arena
-	// blocks, projection keys and output rows, hash-map growth) versus
-	// ~64 for the binding-map representation on the same world. The
-	// bound leaves headroom for runtime changes while still catching any
-	// return to per-row maps or string join keys.
+	t.Logf("per-step inline: %.3f allocs per joined row (total %.0f over %d rows)", perRow, avg, rows)
+	// Measured ~3.9 allocs per joined row for the whole execution (~5.9
+	// while the projection built a key string and a row slice per
+	// distinct row) versus ~64 for the binding-map representation on the
+	// same world. The bound leaves headroom for runtime changes while
+	// still catching any return to per-row maps or string join keys.
 	if perRow > 15 {
 		t.Errorf("per-row join allocations = %.2f (total %.0f over %d rows), want <= 15", perRow, avg, rows)
 	}
 }
 
 // TestPerRowBatchAllocs pins the batch plane's amortized allocation
-// rate far below the row-at-a-time pipeline's measured ~8 per joined
-// row: columns, hash vectors, selection masks, build stores and
-// projection dedup sets are pooled, and projected rows are ordinals into
-// a per-partition cell arena, so what is left is per-execution worker
-// machinery and the answer itself.
+// rate far below the per-step tuple path's: columns, hash vectors,
+// selection masks, build stores and projection dedup sets are pooled,
+// and projected rows are ordinals into a per-partition cell arena, so
+// what is left is per-execution worker machinery and the answer itself.
 func TestPerRowBatchAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting under -short")
@@ -321,7 +366,7 @@ func TestNaNJoinMatchesReference(t *testing.T) {
 	if !foundNaN {
 		t.Fatalf("sequential reference did not join NaN prices: %v", want.Rows)
 	}
-	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {CompatJoins: true}} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 4}, {Workers: 4, MemoryLimit: 1 << 14}} {
 		got, err := eng.ExecuteWith(q, opts)
 		if err != nil {
 			t.Fatal(err)

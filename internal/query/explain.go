@@ -81,16 +81,11 @@ type Plan struct {
 	// to grace-hash spilling on the pipelined path.
 	MemoryLimit int64
 	// Pipelined reports that the engine's default options execute this
-	// plan as a cross-step streaming pipeline: every step's probe output
-	// streams straight into the next step's partitions while later
-	// steps' sources are still scanning.
+	// plan as the cross-step streaming pipeline: rows flow between
+	// stages as columnar batches, and every step's probe output streams
+	// straight into the next step's partitions while later steps'
+	// sources are still scanning. False means the per-step executor.
 	Pipelined bool
-	// Batched reports that the pipeline's data plane is the columnar
-	// batch executor: rows flow between stages as per-slot value vectors
-	// with hash, filter and scatter passes vectorized per batch. False
-	// when Options{RowAtATime} pins the tuple-at-a-time pipeline (or the
-	// plan does not pipeline at all).
-	Batched bool
 	// Triples are the WHERE conjuncts in execution (join) order.
 	Triples []TriplePlan
 	// Analyzed is true when the plan came from ExplainAnalyze: the query
@@ -122,11 +117,8 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "  slots: %s\n", strings.Join(parts, " "))
 	}
 	switch {
-	case p.Batched:
-		fmt.Fprintf(&b, "  exec: columnar batches; cross-step pipeline — %d scan workers, joins hash-partitioned %d ways, vectorized hash/filter/probe over slot columns\n",
-			p.Workers, p.Partitions)
 	case p.Pipelined:
-		fmt.Fprintf(&b, "  exec: slot tuples; cross-step pipeline — %d scan workers, joins hash-partitioned %d ways, probe output streamed between steps\n",
+		fmt.Fprintf(&b, "  exec: columnar batches; cross-step pipeline — %d scan workers, joins hash-partitioned %d ways, vectorized hash/filter/probe over slot columns\n",
 			p.Workers, p.Partitions)
 	case p.Workers > 1:
 		fmt.Fprintf(&b, "  exec: slot tuples; keyed joins hash-partitioned %d ways across %d workers, scan output streamed in batches, per-step barriers\n",
@@ -194,7 +186,6 @@ func (e *Engine) Explain(q Query) (*Plan, error) {
 		MemoryLimit: e.opts.MemoryLimit,
 	}
 	plan.Pipelined = ep.pipelines(e.opts, workers)
-	plan.Batched = ep.batches(e.opts, workers)
 	for i, stp := range ep.steps {
 		tp := TriplePlan{
 			Triple:      stp.triple.String(),

@@ -63,9 +63,9 @@ func deepChainEngine(t testing.TB, instances, dup int) (*Engine, Query) {
 }
 
 // TestPipelinedExecutorMatchesReferences checks the cross-step pipeline
-// against the other three executors on the deep-chain world: byte-
-// identical rows under default and decoupled partition counts, and the
-// pipeline stats populated.
+// against the sequential reference and the per-step path on the
+// deep-chain world: byte-identical rows under default and decoupled
+// partition counts, and the pipeline stats populated.
 func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 	eng, q := deepChainEngine(t, 60, 2)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -79,16 +79,14 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"compat", Options{Workers: 4, CompatJoins: true}},
 		{"tuple-inline", Options{Workers: 1}},
-		{"tuple-barrier", Options{Workers: 4, StepBarriers: true}},
 		{"pipelined", Options{Workers: 4}},
 		{"pipelined-cached", Options{Workers: 4}},
 		{"pipelined-parts-2", Options{Workers: 4, Partitions: 2}},
 		{"pipelined-parts-7", Options{Workers: 3, Partitions: 7}},
-		{"row-pipeline", Options{Workers: 4, RowAtATime: true}},
-		{"row-pipeline-parts-7", Options{Workers: 3, Partitions: 7, RowAtATime: true}},
+		{"pipelined-2", Options{Workers: 2}},
 		{"batch-16k-budget", Options{Workers: 4, MemoryLimit: 1 << 14}},
+		{"batch-16k-budget-parts-7", Options{Workers: 3, Partitions: 7, MemoryLimit: 1 << 14}},
 	}
 	for _, m := range modes {
 		got, err := eng.ExecuteWith(q, m.opts)
@@ -121,17 +119,27 @@ func TestPipelinedExecutorMatchesReferences(t *testing.T) {
 		t.Errorf("no batches streamed: %+v", got.Stats)
 	}
 
-	// The per-step barrier path must not report pipelining, and the
-	// partition option must still apply to its per-step joins.
-	barrier, err := eng.ExecuteWith(q, Options{Workers: 4, Partitions: 3, StepBarriers: true})
+	// A shallow chain over the same world sits below the pipeline's cost
+	// gate, so the plan runs it per-step: no pipelining reported, and
+	// the partition option still applies to its per-step join.
+	shallow := MustParse("SELECT ?x ?v0 WHERE ?x InstanceOf Item . ?x C1 ?v0")
+	wantShallow, err := eng.ExecuteWith(shallow, Options{Sequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if barrier.Stats.PipelinedSteps != 0 {
-		t.Errorf("barrier run reported pipelined steps: %+v", barrier.Stats)
+	perStep, err := eng.ExecuteWith(shallow, Options{Workers: 4, Partitions: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if barrier.Stats.JoinPartitions != 3 {
-		t.Errorf("barrier JoinPartitions = %d, want 3", barrier.Stats.JoinPartitions)
+	if !wantShallow.EqualRows(perStep) {
+		t.Errorf("shallow per-step run diverged: sequential %d rows, got %d",
+			len(wantShallow.Rows), len(perStep.Rows))
+	}
+	if perStep.Stats.PipelinedSteps != 0 {
+		t.Errorf("shallow run reported pipelined steps: %+v", perStep.Stats)
+	}
+	if perStep.Stats.JoinPartitions != 3 {
+		t.Errorf("shallow per-step JoinPartitions = %d, want 3", perStep.Stats.JoinPartitions)
 	}
 }
 

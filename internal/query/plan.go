@@ -28,27 +28,6 @@ type Options struct {
 	// exists for determinism tests and benchmarks; results are always
 	// byte-identical to the planned path.
 	Sequential bool
-	// CompatJoins selects the PR 1 row representation on the planned
-	// path: binding maps per row, map-copy merges and string join keys,
-	// with a barrier between each step's scans and its join. It is
-	// retained as the E12 benchmark baseline and as a third differential
-	// check in the determinism suite; results are always byte-identical
-	// to the slot-based executor.
-	CompatJoins bool
-	// StepBarriers disables cross-step streaming on the tuple executor:
-	// each join step fully materialises its output before the next
-	// step's scans dispatch (the PR 2 executor). Retained as the E13
-	// benchmark baseline and as a differential leg in the determinism
-	// suite; results are always byte-identical to the pipelined path.
-	StepBarriers bool
-	// RowAtATime pins the row-at-a-time streaming pipeline (the PR 3
-	// executor: one tuple hashed, verified and filtered at a time) on
-	// plans that would otherwise run the columnar batch executor —
-	// per-slot value vectors in ~1024-row batches with vectorized hash,
-	// probe and filter loops. Retained as the E19 benchmark baseline
-	// and as a differential leg in the determinism suite; results are
-	// always byte-identical to the batch path.
-	RowAtATime bool
 	// MemoryLimit caps the accounted bytes of one execution (0 = no
 	// cap). The pipelined executor honours it by degrading: a join
 	// partition whose build table (or pending probe queue) cannot
@@ -57,10 +36,11 @@ type Options struct {
 	// budgeted execution always pipelines when the plan allows it (the
 	// shallow-chain fast path is bypassed — only the pipeline can
 	// spill). Rows are byte-identical with or without a limit. The
-	// StepBarriers and single-worker inline tuple paths account their
-	// materialised frontiers in Stats.BytesReserved but never spill;
-	// the Sequential and CompatJoins reference paths neither account
-	// nor spill (BytesReserved stays 0).
+	// per-step path (single worker, single step, cross product, or a
+	// shallow chain the pipeline would not repay) accounts its
+	// materialised frontiers in Stats.BytesReserved but never spills;
+	// the Sequential reference path neither accounts nor spills
+	// (BytesReserved stays 0).
 	MemoryLimit int64
 	// SpillDir is where grace-hash runs are created ("" = the OS temp
 	// directory). Run files are unlinked at creation, so they cannot
@@ -464,7 +444,7 @@ func (p *execPlan) stepPartCount(si int, opts Options, workers int) int {
 // scan volume for cross-step overlap to repay the pipeline's fixed setup
 // (per-stage partition workers, channel wiring, batch routing). The
 // planner's summed scan estimate is the cost proxy: below
-// shallowPipelineMinEst the per-step (StepBarriers) executor runs
+// shallowPipelineMinEst the per-step executor runs
 // instead. Deeper chains always pipeline — each extra step is another
 // materialisation barrier avoided.
 //
@@ -485,14 +465,15 @@ const (
 )
 
 // pipelines reports whether the given options execute this plan as the
-// cross-step streaming pipeline — the one dispatch predicate shared by
-// executeTuples and Explain, so the explanation can never drift from
-// what the engine actually runs. Shallow keyed chains fall back to the
-// per-step executor when the planner's cost estimate says the pipeline's
-// setup would not pay for itself.
+// cross-step streaming pipeline (the columnar batch executor,
+// batchpipe.go) — the one dispatch predicate shared by executeTuples and
+// Explain, so the explanation can never drift from what the engine
+// actually runs. Everything else runs the per-step path: a single
+// worker, a single step, a disconnected cross product, or a shallow
+// keyed chain whose planner cost estimate says the pipeline's setup
+// would not pay for itself.
 func (p *execPlan) pipelines(opts Options, workers int) bool {
-	if !(workers > 1 && !opts.Sequential && !opts.CompatJoins && !opts.StepBarriers &&
-		p.chainKeyed && len(p.steps) > 1) {
+	if !(workers > 1 && !opts.Sequential && p.chainKeyed && len(p.steps) > 1) {
 		return false
 	}
 	// A budgeted execution always pipelines when the plan allows it:
@@ -506,15 +487,6 @@ func (p *execPlan) pipelines(opts Options, workers int) bool {
 		return false
 	}
 	return true
-}
-
-// batches reports whether the given options execute this plan on the
-// columnar batch pipeline (batchpipe.go) — the default data plane for
-// every pipelined execution unless Options{RowAtATime} pins the PR 3
-// tuple-at-a-time pipeline. Shared with Explain, like pipelines, so the
-// explanation can never drift from the executed path.
-func (p *execPlan) batches(opts Options, workers int) bool {
-	return p.pipelines(opts, workers) && !opts.RowAtATime
 }
 
 // estimateScan predicts how many rows the scan will produce, using the
@@ -630,24 +602,4 @@ func tripleVars(t Triple) []string {
 		}
 	}
 	return vs
-}
-
-// applyFilters runs every not-yet-applied filter whose variable is bound
-// in all rows (a variable is bound everywhere once its triple joined).
-// Early filtering shrinks the join frontier without changing the result.
-func applyFilters(rows []binding, filters []Filter, applied []bool, bound map[string]bool) []binding {
-	for i, f := range filters {
-		if applied[i] || !bound[f.Var] {
-			continue
-		}
-		applied[i] = true
-		kept := rows[:0]
-		for _, b := range rows {
-			if v, ok := b[f.Var]; ok && f.Accepts(v) {
-				kept = append(kept, b)
-			}
-		}
-		rows = kept
-	}
-	return rows
 }

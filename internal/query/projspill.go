@@ -13,7 +13,7 @@ import (
 )
 
 // This file makes the last stage's streaming projection (stageProj,
-// pipeline.go) spillable under Options{MemoryLimit}. The projection's
+// projection.go) spillable under Options{MemoryLimit}. The projection's
 // dedup set is the one retention the memory-governed pipeline could not
 // previously trade for disk: a query whose *distinct answer set* alone
 // exceeded the cap blew past it via MustReserve. Now the set reserves

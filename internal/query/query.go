@@ -12,36 +12,37 @@
 //
 // # Execution model
 //
-// The default path is a slot-based tuple executor over compiled, cached
-// plans. Compilation (plan.go) hoists the per-source constant expansions
+// The planned path runs compiled, cached plans. Compilation (plan.go) hoists the per-source constant expansions
 // out of the scan loops, estimates scan cardinalities from the ontology
 // and KB indexes, orders the joins smallest-first, and assigns every
 // query variable a fixed tuple slot; each join step carries precomputed
-// key-slot, new-slot and next-key-slot lists. Execution streams scans
-// into flat []kb.Value tuples and hash-joins on the slot lists — no
-// binding maps, no per-row map copies, no formatted string keys.
+// key-slot, new-slot and next-key-slot lists, and execution hash-joins
+// on the slot lists — no binding maps, no per-row map copies, no
+// formatted string keys.
 //
 // With a worker pool larger than one, a keyed join chain runs as a
-// cross-step streaming pipeline (pipeline.go): every step's scans share
-// one pool, each join step's partition workers build from the step's own
-// scan output, and probe output is re-hashed on the next step's key
-// slots at production time and streamed straight into its partitions —
-// no frontier is ever materialised between steps, partition counts
-// decouple from the worker count (Options{Partitions}), and a provably
-// empty step cancels the remaining scan dispatch. Options{StepBarriers}
-// keeps the per-step executor (exec.go), which materialises each step's
-// output before the next dispatches.
+// cross-step streaming pipeline on columnar batches (batchpipe.go):
+// every step's scans share one pool, each join step's partition workers
+// build from the step's own scan output, and probe output is re-hashed
+// on the next step's key slots and streamed straight into its
+// partitions — no frontier is ever materialised between steps,
+// partition counts decouple from the worker count (Options{Partitions}),
+// and a provably empty step cancels the remaining scan dispatch. The
+// plan shape and the worker count choose the per-step executor
+// (exec.go) instead — a single worker, a single step, a cross product,
+// or a shallow chain too small to repay the pipeline's setup — which
+// streams scans into flat []kb.Value tuples and materialises each
+// step's output before the next dispatches.
 //
 // All row keys — hash-join keys, projection dedup keys and the final
 // sort — share one kind-tagged, framing-safe value encoding (rowkey.go),
 // so adversarial payloads (embedded NUL bytes, kind-colliding formats)
 // cannot collapse distinct rows or falsely join.
 //
-// Two older paths are kept for differential testing: the seed's
-// sequential reference (Options{Sequential}: textual join order,
-// unindexed scans, binding maps) and the PR 1 planned executor
-// (Options{CompatJoins}: binding maps over the same compiled plans, the
-// E12 benchmark baseline). All four produce identical results.
+// The sequential reference (Options{Sequential}: textual join order,
+// unindexed scans, binding maps, its own projection) is kept as the
+// differential oracle: both planned paths produce byte-identical rows
+// to it.
 package query
 
 import (

@@ -159,18 +159,21 @@ func adversarialEngine(t testing.TB) *Engine {
 }
 
 // advModes are the executor configurations the adversarial regressions
-// run under: sequential reference, compat joins, per-step tuple path,
-// and the cross-step pipeline (default and decoupled partitions).
+// run under: the sequential reference, the per-step path inline, and a
+// pooled execution (default and decoupled partitions) — which the plan
+// runs per-step with partitioned joins on small or shallow queries and
+// as the batch pipeline on deep ones — plus a budgeted leg, which
+// pipelines every keyed chain the plan allows.
 var advModes = []struct {
 	name string
 	opts Options
 }{
 	{"sequential", Options{Sequential: true}},
-	{"compat", Options{Workers: 1, CompatJoins: true}},
 	{"tuple-inline", Options{Workers: 1}},
-	{"tuple-barrier", Options{Workers: 4, StepBarriers: true}},
-	{"pipelined", Options{Workers: 4}},
-	{"pipelined-parts-3", Options{Workers: 4, Partitions: 3}},
+	{"pooled", Options{Workers: 4}},
+	{"pooled-parts-3", Options{Workers: 4, Partitions: 3}},
+	{"pooled-2", Options{Workers: 2}},
+	{"budgeted-16k", Options{Workers: 4, MemoryLimit: 1 << 14}},
 }
 
 // TestProjectionFramingSafe regresses the dedup/sort collapse: two
@@ -197,7 +200,7 @@ func TestProjectionFramingSafe(t *testing.T) {
 	}
 }
 
-// TestJoinFramingSafe regresses the sequential/compat joinKey false
+// TestJoinFramingSafe regresses the sequential joinKey false
 // join: rows that only encode identically under the seed's separator
 // scheme must not join — the correct answer is empty on every path.
 func TestJoinFramingSafe(t *testing.T) {
@@ -248,10 +251,16 @@ func TestKindCollidingProjection(t *testing.T) {
 		{kb.String("3000")},
 		{kb.Term("3000")}, // true duplicate
 	}
-	res := &Result{Vars: []string{"v"}}
 	plan := &execPlan{slotOf: map[string]int{"v": 0}, slotNames: []string{"v"}}
-	projectTuples(res, [][]tuple{rows}, Query{Select: []string{"v"}}, plan, nil)
-	if len(res.Rows) != 3 {
-		t.Fatalf("kind-colliding rows deduped to %d, want 3: %v", len(res.Rows), res.Rows)
+	pp := newStageProj(Query{Select: []string{"v"}}, plan, nil, nil, "")
+	for _, r := range rows {
+		pp.add(r)
+	}
+	if err := pp.finish(); err != nil {
+		t.Fatal(err)
+	}
+	got := mergeProjections([]*stageProj{pp}, nil)
+	if len(got) != 3 {
+		t.Fatalf("kind-colliding rows deduped to %d, want 3: %v", len(got), got)
 	}
 }

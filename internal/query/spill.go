@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the grace-hash spilling machinery of the memory-governed
-// pipeline (pipeline.go). A join partition whose build table (or pending
+// pipeline (batchpipe.go). A join partition whose build table (or pending
 // probe queue) cannot reserve its next batch from the query Budget
 // degrades here: build and probe tuples are written to temp-file runs and
 // the join completes partition-by-partition within budget — recursively

@@ -255,18 +255,18 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 			t.Errorf("seed %d: JoinedRows = %d, want %d", seed,
 				spilled.Stats.JoinedRows, want.Stats.JoinedRows)
 		}
-		// The default spilled leg above runs on the batch plane; the
-		// pinned tuple plane must spill to the same rows.
-		rowSpilled, err := eng.ExecuteWith(q, Options{Workers: 4, MemoryLimit: 1 << 12, RowAtATime: true})
+		// A pinned partition count routes the spilled rows differently;
+		// they must still spill to the same rows.
+		pinned, err := eng.ExecuteWith(q, Options{Workers: 3, Partitions: 7, MemoryLimit: 1 << 12})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rowSpilled.Stats.SpilledPartitions == 0 {
-			t.Fatalf("seed %d: row-at-a-time 4KB budget did not spill: %+v", seed, rowSpilled.Stats)
+		if pinned.Stats.SpilledPartitions == 0 {
+			t.Fatalf("seed %d: 7-partition 4KB budget did not spill: %+v", seed, pinned.Stats)
 		}
-		if !want.EqualRows(rowSpilled) {
-			t.Errorf("seed %d: row-at-a-time spilled rows diverged: sequential %d rows, spilled %d rows",
-				seed, len(want.Rows), len(rowSpilled.Rows))
+		if !want.EqualRows(pinned) {
+			t.Errorf("seed %d: 7-partition spilled rows diverged: sequential %d rows, spilled %d rows",
+				seed, len(want.Rows), len(pinned.Rows))
 		}
 	}
 }
@@ -542,7 +542,7 @@ func projWideEngine(t testing.TB, instances int) (*Engine, Query) {
 // spillable projection: under a cap the distinct answer set cannot fit,
 // the dedup sets must rotate to sorted runs (Stats.ProjectionSpills)
 // and the merged-back rows must stay byte-identical to the sequential
-// reference — on both the row-at-a-time and the columnar executor.
+// reference — at the planner's partition counts and at a pinned one.
 func TestProjectionSpillMatchesInMemory(t *testing.T) {
 	eng, q := projWideEngine(t, 4000)
 	want, err := eng.ExecuteWith(q, Options{Sequential: true})
@@ -567,7 +567,7 @@ func TestProjectionSpillMatchesInMemory(t *testing.T) {
 		opts Options
 	}{
 		{"batch", Options{Workers: 4, MemoryLimit: 1 << 19}},
-		{"row", Options{Workers: 4, MemoryLimit: 1 << 19, RowAtATime: true}},
+		{"batch-parts-7", Options{Workers: 3, Partitions: 7, MemoryLimit: 1 << 19}},
 	} {
 		got, err := eng.ExecuteWith(q, leg.opts)
 		if err != nil {
@@ -590,7 +590,7 @@ func TestProjectionSpillMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestHybridGraceJoin locks the hybrid degradation on both executors: at
+// TestHybridGraceJoin locks the hybrid degradation of the pipeline: at
 // a cap that lets build tables partially reserve before the pool runs
 // out, degraded partitions keep their frozen in-memory prefix
 // (Stats.HybridJoins) and the completion — frozen-half replay plus
@@ -606,7 +606,6 @@ func TestHybridGraceJoin(t *testing.T) {
 		opts Options
 	}{
 		{"batch", Options{Workers: 4, MemoryLimit: 1 << 16}},
-		{"row", Options{Workers: 4, MemoryLimit: 1 << 16, RowAtATime: true}},
 	} {
 		got, err := eng.ExecuteWith(q, leg.opts)
 		if err != nil {

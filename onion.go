@@ -340,22 +340,21 @@ type (
 	QuerySource = query.Source
 	// QueryOptions tune execution: Workers bounds the scan worker pool
 	// (0 = GOMAXPROCS, 1 = inline); with more than one worker a keyed
-	// join chain runs as a cross-step streaming pipeline whose per-step
-	// hash-partition counts the planner derives from its scan estimates
-	// (Partitions > 0 pins a global count instead). The pipeline's
-	// default data plane is the columnar batch executor — rows flow
+	// join chain deep or heavy enough to repay the setup runs as a
+	// cross-step streaming pipeline on columnar batches — rows flow
 	// between stages as per-slot value vectors with vectorized hash,
-	// filter and probe passes; RowAtATime pins the tuple-at-a-time
-	// pipeline instead (same rows, byte-identical). MemoryLimit caps
-	// the execution's accounted bytes: pipeline join partitions that
-	// cannot reserve within it degrade to grace-hash spilling joins
-	// (temp-file runs under SpillDir), with rows byte-identical to the
-	// unbounded run. StepBarriers keeps the per-step executor (each
-	// join step materialises its output before the next step's scans
-	// dispatch); Sequential forces the reference path (textual join
-	// order, unindexed scans, no plan cache); CompatJoins keeps the
-	// compiled plan but runs the retained binding-map join
-	// representation (benchmark baseline).
+	// filter and probe passes — whose per-step hash-partition counts
+	// the planner derives from its scan estimates (Partitions > 0 pins
+	// a global count instead). Every other plan (a single worker, a
+	// single step, a cross product, a shallow chain) runs the per-step
+	// executor, where each join step materialises its output before the
+	// next step's scans dispatch. MemoryLimit caps the execution's
+	// accounted bytes: pipeline join partitions that cannot reserve
+	// within it degrade to grace-hash spilling joins (temp-file runs
+	// under SpillDir), with rows byte-identical to the unbounded run.
+	// Sequential forces the reference path (textual join order,
+	// unindexed scans, no plan cache), the oracle the planned paths are
+	// tested against. Trace records the execution's span tree.
 	QueryOptions = query.Options
 	// QueryStats counts the work one execution performed, including the
 	// plan/parallelism counters of the planned path (scan workers, join
